@@ -5,93 +5,48 @@
 namespace hgdb::debugger {
 
 using common::Json;
-using rpc::CommandRequest;
+using rpc::Command;
 using rpc::ErrorCode;
-using rpc::Request;
 using rpc::RequestV2;
 using rpc::ResponseV2;
 
-DebugClient::DebugClient(std::unique_ptr<rpc::Channel> channel,
-                         Protocol protocol)
-    : channel_(std::move(channel)), protocol_(protocol) {}
+DebugClient::DebugClient(std::unique_ptr<rpc::Channel> channel)
+    : channel_(std::move(channel)) {}
 
 // ---------------------------------------------------------------------------
 // transport loops
 // ---------------------------------------------------------------------------
 
-std::optional<rpc::StopEvent> DebugClient::decode_stop(const std::string& text) {
-  try {
-    const Json json = Json::parse(text);
-    if (!json.is_object()) return std::nullopt;
-    if (rpc::is_v2_envelope(json)) {
-      if (json.get_string("type") != "event" ||
-          json.get_string("event") != "stop") {
-        return std::nullopt;
+void DebugClient::queue_event(const rpc::EventV2& event) {
+  const Json& body = event.payload;
+  if (event.event == "stop") {
+    stops_.push_back(rpc::stop_event_fields(body));
+  } else if (event.event == "values") {
+    ValueEvent values;
+    values.subscription = body.get_int("subscription");
+    values.time = static_cast<uint64_t>(body.get_int("time"));
+    if (auto changes = body.get("changes")) {
+      for (const auto& entry : changes->get().as_array()) {
+        ValueEvent::Change change;
+        change.signal = entry.get_string("signal");
+        change.value = entry.get_string("value");
+        change.width = static_cast<uint32_t>(entry.get_int("width"));
+        values.changes.push_back(std::move(change));
       }
-      auto payload = json.get("payload");
-      if (!payload || !payload->get().is_object()) return std::nullopt;
-      return rpc::stop_event_fields(payload->get());
     }
-    // A v1 stop can reach a v2 client when the runtime had not yet seen a
-    // v2 envelope on this session; accept both formats unconditionally.
-    if (json.get_string("type") != "stop") return std::nullopt;
-    return rpc::stop_event_fields(json);
-  } catch (const std::exception&) {
-    return std::nullopt;
+    values_.push_back(std::move(values));
+  } else if (event.event == "breakpoint-changed") {
+    rpc::BreakpointChangeEvent change;
+    change.action = body.get_string("action");
+    change.filename = body.get_string("filename");
+    change.line = static_cast<uint32_t>(body.get_int("line"));
+    change.condition = body.get_string("condition");
+    change.client = static_cast<uint64_t>(body.get_int("client"));
+    breakpoint_changes_.push_back(std::move(change));
   }
 }
 
-rpc::GenericResponse DebugClient::transact_v1(Request request) {
-  request.token = next_token_++;
-  channel_->send(rpc::serialize_request(request));
-  while (true) {
-    auto message = channel_->receive();
-    if (!message) {
-      throw std::runtime_error("debug channel closed");
-    }
-    auto server_message = rpc::parse_server_message(*message);
-    if (server_message.kind == rpc::ServerMessage::Kind::Stop) {
-      stops_.push_back(std::move(server_message.stop));
-      continue;
-    }
-    if (server_message.generic.token == request.token) {
-      if (!server_message.generic.success) {
-        last_error_ = server_message.generic.reason;
-        last_error_code_ = ErrorCode::InternalError;
-      } else {
-        last_error_code_ = ErrorCode::None;
-      }
-      return std::move(server_message.generic);
-    }
-    // Response to an older request: drop.
-  }
-}
-
-std::optional<rpc::BreakpointChangeEvent> DebugClient::decode_breakpoint_change(
-    const std::string& text) {
-  try {
-    const Json json = Json::parse(text);
-    if (!json.is_object() || !rpc::is_v2_envelope(json)) return std::nullopt;
-    if (json.get_string("type") != "event" ||
-        json.get_string("event") != "breakpoint-changed") {
-      return std::nullopt;
-    }
-    auto payload = json.get("payload");
-    if (!payload || !payload->get().is_object()) return std::nullopt;
-    const Json& body = payload->get();
-    rpc::BreakpointChangeEvent event;
-    event.action = body.get_string("action");
-    event.filename = body.get_string("filename");
-    event.line = static_cast<uint32_t>(body.get_int("line"));
-    event.condition = body.get_string("condition");
-    event.client = static_cast<uint64_t>(body.get_int("client"));
-    return event;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-bool DebugClient::absorb_event(const std::string& message) {
+std::optional<ResponseV2> DebugClient::absorb(const std::string& message) {
   if (rpc::is_event_frame(message)) {
     try {
       auto decoded = rpc::decode_event_frame(message);
@@ -123,50 +78,18 @@ bool DebugClient::absorb_event(const std::string& message) {
       // Malformed frame: swallow — a response can never start with the
       // frame magic, so this was a pushed event beyond repair.
     }
-    return true;
-  }
-  if (auto stop = decode_stop(message)) {
-    stops_.push_back(std::move(*stop));
-    return true;
-  }
-  if (auto values = decode_values(message)) {
-    values_.push_back(std::move(*values));
-    return true;
-  }
-  if (auto change = decode_breakpoint_change(message)) {
-    breakpoint_changes_.push_back(std::move(*change));
-    return true;
-  }
-  return false;
-}
-
-std::optional<ValueEvent> DebugClient::decode_values(const std::string& text) {
-  try {
-    const Json json = Json::parse(text);
-    if (!json.is_object() || !rpc::is_v2_envelope(json)) return std::nullopt;
-    if (json.get_string("type") != "event" ||
-        json.get_string("event") != "values") {
-      return std::nullopt;
-    }
-    auto payload = json.get("payload");
-    if (!payload || !payload->get().is_object()) return std::nullopt;
-    const Json& body = payload->get();
-    ValueEvent event;
-    event.subscription = body.get_int("subscription");
-    event.time = static_cast<uint64_t>(body.get_int("time"));
-    if (auto changes = body.get("changes")) {
-      for (const auto& entry : changes->get().as_array()) {
-        ValueEvent::Change change;
-        change.signal = entry.get_string("signal");
-        change.value = entry.get_string("value");
-        change.width = static_cast<uint32_t>(entry.get_int("width"));
-        event.changes.push_back(std::move(change));
-      }
-    }
-    return event;
-  } catch (const std::exception&) {
     return std::nullopt;
   }
+  try {
+    auto decoded = rpc::parse_server_message_v2(message);
+    if (decoded.kind == rpc::ServerMessageV2::Kind::Response) {
+      return std::move(decoded.response);
+    }
+    queue_event(decoded.event);
+  } catch (const std::exception&) {
+    // Stray or unparseable message, or an event with a malformed payload.
+  }
+  return std::nullopt;
 }
 
 ResponseV2 DebugClient::transact(const std::string& command, Json payload) {
@@ -180,32 +103,18 @@ ResponseV2 DebugClient::transact(const std::string& command, Json payload) {
     if (!message) {
       throw std::runtime_error("debug channel closed");
     }
-    if (absorb_event(*message)) continue;
-    ResponseV2 response;
-    try {
-      auto server_message = rpc::parse_server_message_v2(*message);
-      if (server_message.kind != rpc::ServerMessageV2::Kind::Response) {
-        continue;  // unrelated event
-      }
-      response = std::move(server_message.response);
-    } catch (const std::exception&) {
-      continue;  // stray/unparseable message
-    }
-    if (response.token != request.token) continue;  // older request
-    if (!response.ok()) {
-      last_error_ = response.reason;
-      last_error_code_ = response.error;
+    auto response = absorb(*message);
+    // Events were queued for their own waiters; a response to an older
+    // request is dropped.
+    if (!response || response->token != request.token) continue;
+    if (!response->ok()) {
+      last_error_ = response->reason;
+      last_error_code_ = response->error;
     } else {
       last_error_code_ = ErrorCode::None;
     }
-    return response;
+    return std::move(*response);
   }
-}
-
-bool DebugClient::require_v2(const char* what) {
-  last_error_ = std::string(what) + " requires protocol v2";
-  last_error_code_ = ErrorCode::UnsupportedCapability;
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -213,7 +122,6 @@ bool DebugClient::require_v2(const char* what) {
 // ---------------------------------------------------------------------------
 
 bool DebugClient::connect(const std::string& client_name, bool binary_events) {
-  if (protocol_ == Protocol::V1) return require_v2("connect");
   Json payload = Json::object();
   payload["client"] = Json(client_name);
   if (binary_events) payload["binary_events"] = Json(true);
@@ -233,46 +141,21 @@ bool DebugClient::connect(const std::string& client_name, bool binary_events) {
 std::vector<int64_t> DebugClient::set_breakpoint(const std::string& filename,
                                                  uint32_t line,
                                                  const std::string& condition) {
-  Json ids_json = Json::array();
-  if (protocol_ == Protocol::V1) {
-    Request request;
-    request.kind = Request::Kind::Breakpoint;
-    request.breakpoint.action = rpc::BreakpointRequest::Action::Add;
-    request.breakpoint.filename = filename;
-    request.breakpoint.line = line;
-    request.breakpoint.condition = condition;
-    auto response = transact_v1(std::move(request));
-    if (response.success && response.payload.contains("ids")) {
-      ids_json = response.payload["ids"];
-    }
-  } else {
-    Json payload = Json::object();
-    payload["filename"] = Json(filename);
-    payload["line"] = Json(static_cast<int64_t>(line));
-    if (!condition.empty()) payload["condition"] = Json(condition);
-    auto response = transact("breakpoint-add", std::move(payload));
-    if (response.ok() && response.payload.contains("ids")) {
-      ids_json = response.payload["ids"];
-    }
-  }
+  Json payload = Json::object();
+  payload["filename"] = Json(filename);
+  payload["line"] = Json(static_cast<int64_t>(line));
+  if (!condition.empty()) payload["condition"] = Json(condition);
+  auto response = transact("breakpoint-add", std::move(payload));
   std::vector<int64_t> ids;
-  if (ids_json.is_array()) {
-    for (const auto& id : ids_json.as_array()) ids.push_back(id.as_int());
+  if (!response.ok()) return ids;
+  if (auto list = response.payload.get("ids"); list && list->get().is_array()) {
+    for (const auto& id : list->get().as_array()) ids.push_back(id.as_int());
   }
   return ids;
 }
 
 size_t DebugClient::remove_breakpoint(const std::string& filename,
                                       uint32_t line) {
-  if (protocol_ == Protocol::V1) {
-    Request request;
-    request.kind = Request::Kind::Breakpoint;
-    request.breakpoint.action = rpc::BreakpointRequest::Action::Remove;
-    request.breakpoint.filename = filename;
-    request.breakpoint.line = line;
-    auto response = transact_v1(std::move(request));
-    return static_cast<size_t>(response.payload.get_int("removed"));
-  }
   Json payload = Json::object();
   payload["filename"] = Json(filename);
   payload["line"] = Json(static_cast<int64_t>(line));
@@ -281,15 +164,6 @@ size_t DebugClient::remove_breakpoint(const std::string& filename,
 }
 
 Json DebugClient::list_locations(const std::string& filename, uint32_t line) {
-  if (protocol_ == Protocol::V1) {
-    Request request;
-    request.kind = Request::Kind::BpLocation;
-    request.bp_location.filename = filename;
-    request.bp_location.line = line;
-    auto response = transact_v1(std::move(request));
-    if (auto list = response.payload.get("breakpoints")) return list->get();
-    return Json::array();
-  }
   Json payload = Json::object();
   payload["filename"] = Json(filename);
   payload["line"] = Json(static_cast<int64_t>(line));
@@ -302,35 +176,27 @@ Json DebugClient::list_locations(const std::string& filename, uint32_t line) {
 // execution control
 // ---------------------------------------------------------------------------
 
-bool DebugClient::send_command(CommandRequest::Command command, uint64_t time) {
-  if (protocol_ == Protocol::V1) {
-    Request request;
-    request.kind = Request::Kind::Command;
-    request.command.command = command;
-    request.command.time = time;
-    return transact_v1(std::move(request)).success;
-  }
+bool DebugClient::send_command(Command command, uint64_t time) {
   Json payload = Json::object();
-  if (command == CommandRequest::Command::Jump) {
+  if (command == Command::Jump) {
     payload["time"] = Json(static_cast<int64_t>(time));
   }
-  return transact(rpc::v2_command_name(command), std::move(payload)).ok();
+  return transact(rpc::command_name(command), std::move(payload)).ok();
 }
 
-bool DebugClient::resume() { return send_command(CommandRequest::Command::Continue); }
-bool DebugClient::step_over() { return send_command(CommandRequest::Command::StepOver); }
-bool DebugClient::step_back() { return send_command(CommandRequest::Command::StepBack); }
+bool DebugClient::resume() { return send_command(Command::Continue); }
+bool DebugClient::step_over() { return send_command(Command::StepOver); }
+bool DebugClient::step_back() { return send_command(Command::StepBack); }
 bool DebugClient::reverse_resume() {
-  return send_command(CommandRequest::Command::ReverseContinue);
+  return send_command(Command::ReverseContinue);
 }
-bool DebugClient::pause() { return send_command(CommandRequest::Command::Pause); }
+bool DebugClient::pause() { return send_command(Command::Pause); }
 bool DebugClient::jump(uint64_t time) {
-  return send_command(CommandRequest::Command::Jump, time);
+  return send_command(Command::Jump, time);
 }
-bool DebugClient::detach() { return send_command(CommandRequest::Command::Detach); }
+bool DebugClient::detach() { return send_command(Command::Detach); }
 
 bool DebugClient::disconnect() {
-  if (protocol_ == Protocol::V1) return detach();
   return transact("disconnect", Json::object()).ok();
 }
 
@@ -350,7 +216,7 @@ std::optional<rpc::StopEvent> DebugClient::wait_stop(
     if (!message) return std::nullopt;
     // Other event kinds queue for their own waiters; stray responses
     // (e.g. after a timeout race) are ignored.
-    absorb_event(*message);
+    absorb(*message);
   }
 }
 
@@ -364,7 +230,7 @@ std::optional<ValueEvent> DebugClient::wait_values(
     }
     auto message = channel_->receive(timeout);
     if (!message) return std::nullopt;
-    absorb_event(*message);
+    absorb(*message);
   }
 }
 
@@ -378,23 +244,13 @@ std::optional<rpc::BreakpointChangeEvent> DebugClient::wait_breakpoint_change(
     }
     auto message = channel_->receive(timeout);
     if (!message) return std::nullopt;
-    absorb_event(*message);
+    absorb(*message);
   }
 }
 
 std::optional<std::string> DebugClient::evaluate(
     const std::string& expression, std::optional<int64_t> breakpoint_id,
     const std::string& instance) {
-  if (protocol_ == Protocol::V1) {
-    Request request;
-    request.kind = Request::Kind::Evaluation;
-    request.evaluation.expression = expression;
-    request.evaluation.breakpoint_id = breakpoint_id;
-    request.evaluation.instance_name = instance;
-    auto response = transact_v1(std::move(request));
-    if (!response.success) return std::nullopt;
-    return response.payload.get_string("result");
-  }
   Json payload = Json::object();
   payload["expression"] = Json(expression);
   if (breakpoint_id) payload["breakpoint_id"] = Json(*breakpoint_id);
@@ -404,38 +260,16 @@ std::optional<std::string> DebugClient::evaluate(
   return response.payload.get_string("result");
 }
 
-Json DebugClient::info() {
-  if (protocol_ == Protocol::V1) {
-    Request request;
-    request.kind = Request::Kind::DebuggerInfo;
-    return transact_v1(std::move(request)).payload;
-  }
-  return transact("info", Json::object()).payload;
-}
+Json DebugClient::info() { return transact("info", Json::object()).payload; }
 
 // ---------------------------------------------------------------------------
-// v2 request families
+// request families
 // ---------------------------------------------------------------------------
 
 std::vector<EvalResult> DebugClient::evaluate_batch(
     const std::vector<std::string>& expressions,
     std::optional<int64_t> breakpoint_id, const std::string& instance) {
   std::vector<EvalResult> results;
-  if (protocol_ == Protocol::V1) {
-    // Degraded path: one round trip per expression.
-    for (const auto& expression : expressions) {
-      EvalResult result;
-      result.expression = expression;
-      if (auto value = evaluate(expression, breakpoint_id, instance)) {
-        result.ok = true;
-        result.value = *value;
-      } else {
-        result.reason = last_error_;
-      }
-      results.push_back(std::move(result));
-    }
-    return results;
-  }
   Json payload = Json::object();
   Json list = Json::array();
   for (const auto& expression : expressions) list.push_back(Json(expression));
@@ -460,10 +294,6 @@ std::vector<EvalResult> DebugClient::evaluate_batch(
 
 std::optional<int64_t> DebugClient::watch(const std::string& expression,
                                           const std::string& instance) {
-  if (protocol_ == Protocol::V1) {
-    require_v2("watch");
-    return std::nullopt;
-  }
   Json payload = Json::object();
   payload["expression"] = Json(expression);
   if (!instance.empty()) payload["instance_name"] = Json(instance);
@@ -473,7 +303,6 @@ std::optional<int64_t> DebugClient::watch(const std::string& expression,
 }
 
 bool DebugClient::unwatch(int64_t id) {
-  if (protocol_ == Protocol::V1) return require_v2("unwatch");
   Json payload = Json::object();
   payload["id"] = Json(id);
   return transact("unwatch", std::move(payload)).ok();
@@ -482,10 +311,6 @@ bool DebugClient::unwatch(int64_t id) {
 std::optional<int64_t> DebugClient::subscribe(
     const std::vector<std::string>& signals, uint32_t decimation,
     const std::string& instance, uint64_t min_interval) {
-  if (protocol_ == Protocol::V1) {
-    require_v2("subscribe");
-    return std::nullopt;
-  }
   Json payload = Json::object();
   Json list = Json::array();
   for (const auto& signal : signals) list.push_back(Json(signal));
@@ -503,27 +328,18 @@ std::optional<int64_t> DebugClient::subscribe(
 }
 
 bool DebugClient::unsubscribe(int64_t id) {
-  if (protocol_ == Protocol::V1) return require_v2("unsubscribe");
   Json payload = Json::object();
   payload["id"] = Json(id);
   return transact("unsubscribe", std::move(payload)).ok();
 }
 
 Json DebugClient::list_instances() {
-  if (protocol_ == Protocol::V1) {
-    require_v2("list-instances");
-    return Json::array();
-  }
   auto response = transact("list-instances", Json::object());
   if (auto list = response.payload.get("instances")) return list->get();
   return Json::array();
 }
 
 Json DebugClient::list_variables(const std::string& instance) {
-  if (protocol_ == Protocol::V1) {
-    require_v2("list-variables");
-    return Json::array();
-  }
   Json payload = Json::object();
   payload["instance_name"] = Json(instance);
   auto response = transact("list-variables", std::move(payload));
@@ -531,29 +347,15 @@ Json DebugClient::list_variables(const std::string& instance) {
   return Json::array();
 }
 
-Json DebugClient::stats() {
-  if (protocol_ == Protocol::V1) {
-    require_v2("stats");
-    return Json::object();
-  }
-  return transact("stats", Json::object()).payload;
-}
+Json DebugClient::stats() { return transact("stats", Json::object()).payload; }
 
 std::string DebugClient::metrics() {
-  if (protocol_ == Protocol::V1) {
-    require_v2("metrics");
-    return "";
-  }
   auto response = transact("metrics", Json::object());
   if (!response.ok()) return "";
   return response.payload.get_string("text");
 }
 
 Json DebugClient::metrics_json() {
-  if (protocol_ == Protocol::V1) {
-    require_v2("metrics");
-    return Json::object();
-  }
   Json payload = Json::object();
   payload["format"] = Json("json");
   auto response = transact("metrics", std::move(payload));
@@ -562,20 +364,12 @@ Json DebugClient::metrics_json() {
 }
 
 Json DebugClient::trace_control(const std::string& action) {
-  if (protocol_ == Protocol::V1) {
-    require_v2("trace");
-    return Json::object();
-  }
   Json payload = Json::object();
   payload["action"] = Json(action);
   return transact("trace", std::move(payload)).payload;
 }
 
 std::string DebugClient::trace_dump() {
-  if (protocol_ == Protocol::V1) {
-    require_v2("trace");
-    return "";
-  }
   Json payload = Json::object();
   payload["action"] = Json("dump");
   auto response = transact("trace", std::move(payload));
@@ -584,7 +378,6 @@ std::string DebugClient::trace_dump() {
 }
 
 bool DebugClient::set_value(const std::string& name, const std::string& value) {
-  if (protocol_ == Protocol::V1) return require_v2("set-value");
   Json payload = Json::object();
   payload["name"] = Json(name);
   payload["value"] = Json(value);

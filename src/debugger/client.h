@@ -14,12 +14,6 @@
 
 namespace hgdb::debugger {
 
-/// Which wire dialect the client speaks.
-enum class Protocol : uint8_t {
-  V1,  ///< legacy closed-enum messages (served through the compat shim)
-  V2,  ///< versioned command envelopes with typed errors + capabilities
-};
-
 /// One expression's result from evaluate_batch().
 struct EvalResult {
   std::string expression;
@@ -46,23 +40,17 @@ struct ValueEvent {
 /// programmatic equivalent of the paper's gdb-like debugger; the VSCode
 /// extension in the paper speaks the same protocol.
 ///
-/// The client is v2-native by default: connect() performs the handshake
-/// and records the runtime's negotiated capabilities, failed requests
-/// carry typed error codes (last_error_code()), and the v2-only request
-/// families (watchpoints, batched evaluation, hierarchy browsing, stats)
-/// are available. Protocol::V1 preserves the legacy wire format
-/// byte-for-byte for old runtimes — v2-only methods then fail cleanly.
+/// Every request is a protocol v2 envelope: connect() performs the
+/// handshake and records the runtime's negotiated capabilities, and failed
+/// requests carry typed error codes (last_error_code()).
 ///
 /// Stop events arriving while a request is in flight are queued and
 /// surfaced through wait_stop().
 class DebugClient {
  public:
-  explicit DebugClient(std::unique_ptr<rpc::Channel> channel,
-                       Protocol protocol = Protocol::V2);
+  explicit DebugClient(std::unique_ptr<rpc::Channel> channel);
 
-  [[nodiscard]] Protocol protocol() const { return protocol_; }
-
-  // -- handshake (v2) ------------------------------------------------------------
+  // -- handshake -----------------------------------------------------------------
   /// Negotiates capabilities with the runtime. Optional but recommended:
   /// afterwards capabilities() says whether jump/reverse/set-value can work.
   /// With `binary_events` the client asks for the binary event framing:
@@ -93,8 +81,7 @@ class DebugClient {
   bool pause();
   bool jump(uint64_t time);
   bool detach();
-  /// Detaches and asks the runtime to close this session (v2; in V1 mode
-  /// identical to detach()).
+  /// Detaches and asks the runtime to close this session.
   bool disconnect();
 
   // -- inspection ------------------------------------------------------------------
@@ -107,7 +94,7 @@ class DebugClient {
                                       const std::string& instance = "");
   common::Json info();
 
-  // -- v2 request families -------------------------------------------------------
+  // -- request families ----------------------------------------------------------
   /// One round trip, many expressions (IDE variable panes).
   std::vector<EvalResult> evaluate_batch(
       const std::vector<std::string>& expressions,
@@ -130,7 +117,7 @@ class DebugClient {
   std::optional<ValueEvent> wait_values(
       std::optional<std::chrono::milliseconds> timeout = std::nullopt);
   /// Blocks until another attached session arms or disarms a breakpoint
-  /// on a shared location (pushed "breakpoint-changed" events; v2 only).
+  /// on a shared location (pushed "breakpoint-changed" events).
   std::optional<rpc::BreakpointChangeEvent> wait_breakpoint_change(
       std::optional<std::chrono::milliseconds> timeout = std::nullopt);
   /// The most recent lifecycle notice ("shutdown", ...) pushed on a
@@ -155,31 +142,23 @@ class DebugClient {
 
   /// Reason of the last failed request.
   [[nodiscard]] const std::string& last_error() const { return last_error_; }
-  /// Typed code of the last failed request (v2; None after success).
+  /// Typed code of the last failed request (None after success).
   [[nodiscard]] rpc::ErrorCode last_error_code() const {
     return last_error_code_;
   }
 
  private:
-  rpc::GenericResponse transact_v1(rpc::Request request);
   rpc::ResponseV2 transact(const std::string& command, common::Json payload);
-  bool send_command(rpc::CommandRequest::Command command, uint64_t time = 0);
-  /// Decodes a stop event in either wire format; nullopt if `text` is not
-  /// a stop message.
-  std::optional<rpc::StopEvent> decode_stop(const std::string& text);
-  /// Decodes a v2 "values" event; nullopt if `text` is something else.
-  std::optional<ValueEvent> decode_values(const std::string& text);
-  /// Decodes a v2 "breakpoint-changed" event; nullopt otherwise.
-  std::optional<rpc::BreakpointChangeEvent> decode_breakpoint_change(
-      const std::string& text);
-  /// Queues `message` if it is a pushed event (binary frame or JSON);
-  /// returns false when it is something else (e.g. a response).
-  bool absorb_event(const std::string& message);
-  /// Marks a v2-only call failed in V1 mode.
-  bool require_v2(const char* what);
+  bool send_command(rpc::Command command, uint64_t time = 0);
+  /// Queues `message` if it is a pushed event (binary frame or JSON) and
+  /// returns nullopt; returns the decoded response when it is one.
+  /// Unparseable messages are dropped.
+  std::optional<rpc::ResponseV2> absorb(const std::string& message);
+  /// Queues one pushed JSON event by name; unknown names are ignored.
+  /// Throws std::runtime_error on a malformed payload.
+  void queue_event(const rpc::EventV2& event);
 
   std::unique_ptr<rpc::Channel> channel_;
-  Protocol protocol_;
   std::deque<rpc::StopEvent> stops_;
   std::deque<ValueEvent> values_;
   std::deque<rpc::BreakpointChangeEvent> breakpoint_changes_;

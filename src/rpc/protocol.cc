@@ -10,60 +10,10 @@ using common::Json;
 
 namespace {
 
-const char* command_name(CommandRequest::Command command) {
-  switch (command) {
-    case CommandRequest::Command::Continue: return "continue";
-    case CommandRequest::Command::Pause: return "pause";
-    case CommandRequest::Command::StepOver: return "step_over";
-    case CommandRequest::Command::StepBack: return "step_back";
-    case CommandRequest::Command::ReverseContinue: return "reverse_continue";
-    case CommandRequest::Command::Jump: return "jump";
-    case CommandRequest::Command::Detach: return "detach";
-  }
-  return "continue";
-}
-
-CommandRequest::Command command_from(const std::string& name) {
-  if (name == "continue") return CommandRequest::Command::Continue;
-  if (name == "pause") return CommandRequest::Command::Pause;
-  if (name == "step_over") return CommandRequest::Command::StepOver;
-  if (name == "step_back") return CommandRequest::Command::StepBack;
-  if (name == "reverse_continue") return CommandRequest::Command::ReverseContinue;
-  if (name == "jump") return CommandRequest::Command::Jump;
-  if (name == "detach") return CommandRequest::Command::Detach;
-  throw std::runtime_error("unknown command '" + name + "'");
-}
-
 // -- malformed-input guards ---------------------------------------------------
 // Every accessor below throws std::runtime_error (and nothing else) with a
-// field-specific message, so the service layer can surface a structured
-// protocol error instead of letting a stray exception kill the thread.
-
-const Json& require_field(const Json& json, const char* key) {
-  auto field = json.get(key);
-  if (!field) {
-    throw std::runtime_error(std::string("missing field '") + key + "'");
-  }
-  return field->get();
-}
-
-std::string require_string(const Json& json, const char* key) {
-  const Json& field = require_field(json, key);
-  if (!field.is_string()) {
-    throw std::runtime_error(std::string("field '") + key +
-                             "' must be a string");
-  }
-  return field.as_string();
-}
-
-int64_t require_int(const Json& json, const char* key) {
-  const Json& field = require_field(json, key);
-  if (!field.is_number()) {
-    throw std::runtime_error(std::string("field '") + key +
-                             "' must be a number");
-  }
-  return field.as_int();
-}
+// field-specific message, so a client decoding a hostile stop payload sees
+// one exception type.
 
 /// Absent -> default; present with the wrong type -> error.
 std::string optional_string(const Json& json, const char* key) {
@@ -85,120 +35,6 @@ int64_t optional_int(const Json& json, const char* key, int64_t fallback = 0) {
   }
   return field->get().as_int();
 }
-
-Json parse_object(const std::string& text, const char* what) {
-  Json json;
-  try {
-    json = Json::parse(text);
-  } catch (const std::exception& error) {
-    throw std::runtime_error(std::string("malformed ") + what + ": " +
-                             error.what());
-  }
-  if (!json.is_object()) {
-    throw std::runtime_error(std::string(what) + " is not a JSON object");
-  }
-  return json;
-}
-
-}  // namespace
-
-Request parse_request(const std::string& text) {
-  const Json json = parse_object(text, "request");
-  Request request;
-  request.token = optional_int(json, "token");
-  const std::string type = require_string(json, "type");
-  if (type == "breakpoint") {
-    request.kind = Request::Kind::Breakpoint;
-    const std::string action = optional_string(json, "action");
-    if (!action.empty() && action != "add" && action != "remove") {
-      throw std::runtime_error("unknown breakpoint action '" + action + "'");
-    }
-    request.breakpoint.action = action == "remove"
-                                    ? BreakpointRequest::Action::Remove
-                                    : BreakpointRequest::Action::Add;
-    request.breakpoint.filename = require_string(json, "filename");
-    request.breakpoint.line = static_cast<uint32_t>(optional_int(json, "line"));
-    request.breakpoint.column =
-        static_cast<uint32_t>(optional_int(json, "column"));
-    request.breakpoint.condition = optional_string(json, "condition");
-  } else if (type == "bp-location") {
-    request.kind = Request::Kind::BpLocation;
-    request.bp_location.filename = require_string(json, "filename");
-    request.bp_location.line = static_cast<uint32_t>(optional_int(json, "line"));
-  } else if (type == "command") {
-    request.kind = Request::Kind::Command;
-    request.command.command = command_from(require_string(json, "command"));
-    request.command.time = static_cast<uint64_t>(optional_int(json, "time"));
-  } else if (type == "evaluation") {
-    request.kind = Request::Kind::Evaluation;
-    request.evaluation.expression = require_string(json, "expression");
-    if (json.contains("breakpoint_id")) {
-      request.evaluation.breakpoint_id = require_int(json, "breakpoint_id");
-    }
-    request.evaluation.instance_name = optional_string(json, "instance_name");
-  } else if (type == "debugger-info") {
-    request.kind = Request::Kind::DebuggerInfo;
-  } else {
-    throw std::runtime_error("unknown request type '" + type + "'");
-  }
-  return request;
-}
-
-std::string serialize_request(const Request& request) {
-  Json json = Json::object();
-  json["token"] = Json(request.token);
-  switch (request.kind) {
-    case Request::Kind::Breakpoint:
-      json["type"] = Json("breakpoint");
-      json["action"] = Json(request.breakpoint.action ==
-                                    BreakpointRequest::Action::Remove
-                                ? "remove"
-                                : "add");
-      json["filename"] = Json(request.breakpoint.filename);
-      json["line"] = Json(static_cast<int64_t>(request.breakpoint.line));
-      json["column"] = Json(static_cast<int64_t>(request.breakpoint.column));
-      if (!request.breakpoint.condition.empty()) {
-        json["condition"] = Json(request.breakpoint.condition);
-      }
-      break;
-    case Request::Kind::BpLocation:
-      json["type"] = Json("bp-location");
-      json["filename"] = Json(request.bp_location.filename);
-      json["line"] = Json(static_cast<int64_t>(request.bp_location.line));
-      break;
-    case Request::Kind::Command:
-      json["type"] = Json("command");
-      json["command"] = Json(command_name(request.command.command));
-      json["time"] = Json(static_cast<int64_t>(request.command.time));
-      break;
-    case Request::Kind::Evaluation:
-      json["type"] = Json("evaluation");
-      json["expression"] = Json(request.evaluation.expression);
-      if (request.evaluation.breakpoint_id) {
-        json["breakpoint_id"] = Json(*request.evaluation.breakpoint_id);
-      }
-      if (!request.evaluation.instance_name.empty()) {
-        json["instance_name"] = Json(request.evaluation.instance_name);
-      }
-      break;
-    case Request::Kind::DebuggerInfo:
-      json["type"] = Json("debugger-info");
-      break;
-  }
-  return json.dump();
-}
-
-std::string serialize_response(const GenericResponse& response) {
-  Json json = Json::object();
-  json["type"] = Json("generic");
-  json["token"] = Json(response.token);
-  json["status"] = Json(response.success ? "success" : "error");
-  if (!response.reason.empty()) json["reason"] = Json(response.reason);
-  json["payload"] = response.payload;
-  return json.dump();
-}
-
-namespace {
 
 Json frame_to_json(const Frame& frame) {
   Json f = Json::object();
@@ -277,50 +113,6 @@ WatchHit watch_hit_from_json(const Json& w) {
 }
 
 }  // namespace
-
-std::string serialize_stop_event(const StopEvent& event) {
-  Json frames = Json::array();
-  for (const auto& frame : event.frames) {
-    frames.push_back(frame_to_json(frame));
-  }
-  Json json = Json::object();
-  json["type"] = Json("stop");
-  json["time"] = Json(static_cast<int64_t>(event.time));
-  json["frames"] = std::move(frames);
-  if (!event.watch_hits.empty()) {
-    Json watches = Json::array();
-    for (const auto& hit : event.watch_hits) {
-      watches.push_back(watch_hit_to_json(hit));
-    }
-    json["watches"] = std::move(watches);
-  }
-  return json.dump();
-}
-
-ServerMessage parse_server_message(const std::string& text) {
-  const Json json = parse_object(text, "server message");
-  ServerMessage message;
-  const std::string type = require_string(json, "type");
-  if (type == "stop") {
-    message.kind = ServerMessage::Kind::Stop;
-    message.stop = stop_event_fields(json);
-  } else if (type == "generic") {
-    message.kind = ServerMessage::Kind::Generic;
-    message.generic.token = optional_int(json, "token");
-    const std::string status = require_string(json, "status");
-    if (status != "success" && status != "error") {
-      throw std::runtime_error("unknown response status '" + status + "'");
-    }
-    message.generic.success = status == "success";
-    message.generic.reason = optional_string(json, "reason");
-    if (auto payload = json.get("payload")) {
-      message.generic.payload = payload->get();
-    }
-  } else {
-    throw std::runtime_error("unknown server message type '" + type + "'");
-  }
-  return message;
-}
 
 StopEvent stop_event_fields(const Json& json) {
   StopEvent stop;

@@ -2,7 +2,6 @@
 #define HGDB_RPC_PROTOCOL_H
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,86 +9,21 @@
 
 namespace hgdb::rpc {
 
-/// JSON debug protocol between debugger clients and the hgdb runtime
-/// (paper Sec. 3.5: "RPC-based debugging protocol similar to gdb remote
-/// protocol"). Every request carries a client-chosen `token` echoed in the
-/// reply; stop events are unsolicited (token-less).
-///
-/// Wire format: one JSON object per Channel message, with a "type" field.
+/// Types shared by every layer that produces or consumes debugger stops
+/// and execution commands: the runtime raises StopEvents, the session
+/// layer renders them as protocol v2 events (rpc/protocol_v2.h) or binary
+/// frames (rpc/event_frame.h), and DebugClient decodes them back.
 
-// -- requests (debugger -> runtime) -------------------------------------------
-
-struct BreakpointRequest {
-  enum class Action : uint8_t { Add, Remove };
-  Action action = Action::Add;
-  std::string filename;
-  uint32_t line = 0;     ///< 0 = every line in file (remove only)
-  uint32_t column = 0;   ///< 0 = any column
-  std::string condition; ///< optional user condition expression
-};
-
-struct BpLocationRequest {
-  std::string filename;
-  uint32_t line = 0;  ///< 0 = all lines
-};
-
-struct CommandRequest {
-  enum class Command : uint8_t {
-    Continue,         ///< run until an inserted breakpoint hits
-    Pause,            ///< stop at the next statement boundary
-    StepOver,         ///< next statement (any breakpointable location)
-    StepBack,         ///< previous statement (intra-cycle reverse; uses
-                      ///< time travel across cycles when supported)
-    ReverseContinue,  ///< run backwards until an inserted breakpoint hits
-    Jump,             ///< jump to absolute time (requires time travel)
-    Detach,           ///< remove all breakpoints and stop serving
-  };
-  Command command = Command::Continue;
-  uint64_t time = 0;  ///< for Jump
-};
-
-struct EvaluationRequest {
-  std::string expression;
-  /// Scope: a breakpoint id (frame locals + instance vars) or an instance
-  /// name. Empty = top instance.
-  std::optional<int64_t> breakpoint_id;
-  std::string instance_name;
-};
-
-struct DebuggerInfoRequest {};
-
-/// Decoded request variant.
-struct Request {
-  enum class Kind : uint8_t {
-    Breakpoint,
-    BpLocation,
-    Command,
-    Evaluation,
-    DebuggerInfo,
-  };
-  Kind kind = Kind::Command;
-  int64_t token = 0;
-  BreakpointRequest breakpoint;
-  BpLocationRequest bp_location;
-  CommandRequest command;
-  EvaluationRequest evaluation;
-};
-
-/// Parses a request message. Malformed input — invalid JSON, a non-object
-/// document, missing required fields, or wrong field types — always throws
-/// std::runtime_error with a description (never any other exception type),
-/// so a service loop can map it to a structured protocol error.
-Request parse_request(const std::string& text);
-std::string serialize_request(const Request& request);
-
-// -- responses / events (runtime -> debugger) ---------------------------------
-
-struct GenericResponse {
-  int64_t token = 0;
-  bool success = true;
-  std::string reason;
-  /// Optional payload (bp-location lists, evaluation results, info dumps).
-  common::Json payload = common::Json::object();
+/// Execution-control commands; rpc::command_name() gives the v2 wire name.
+enum class Command : uint8_t {
+  Continue,         ///< run until an inserted breakpoint hits
+  Pause,            ///< stop at the next statement boundary
+  StepOver,         ///< next statement (any breakpointable location)
+  StepBack,         ///< previous statement (intra-cycle reverse; uses
+                    ///< time travel across cycles when supported)
+  ReverseContinue,  ///< run backwards until an inserted breakpoint hits
+  Jump,             ///< jump to absolute time (requires time travel)
+  Detach,           ///< remove all breakpoints and stop serving
 };
 
 /// One concurrent "hardware thread" stopped at a breakpoint
@@ -127,7 +61,7 @@ struct StopEvent {
   uint64_t time = 0;
   std::vector<Frame> frames;
   /// Watchpoint hits (empty for plain breakpoint stops; omitted from the
-  /// wire format when empty so v1 clients never see the field).
+  /// wire format when empty).
   std::vector<WatchHit> watch_hits;
   /// Session-layer routing metadata (never serialized): true when the stop
   /// came from a run-mode inserted-breakpoint hit, i.e. the frames'
@@ -136,24 +70,9 @@ struct StopEvent {
   bool condition_routed = false;
 };
 
-std::string serialize_response(const GenericResponse& response);
-std::string serialize_stop_event(const StopEvent& event);
-
-/// Decoded runtime->debugger message.
-struct ServerMessage {
-  enum class Kind : uint8_t { Generic, Stop };
-  Kind kind = Kind::Generic;
-  GenericResponse generic;
-  StopEvent stop;
-};
-
-/// Parses a runtime->debugger message with the same malformed-input
-/// guarantee as parse_request: std::runtime_error only.
-ServerMessage parse_server_message(const std::string& text);
-
-/// Extracts StopEvent fields from a JSON object — the body of a v1 "stop"
-/// message and the payload of a v2 "stop" event share this shape. Throws
-/// std::runtime_error on wrong-typed fields.
+/// Extracts StopEvent fields from the payload of a v2 "stop" event.
+/// Absent fields default; present but wrong-typed ones throw
+/// std::runtime_error (and nothing else).
 StopEvent stop_event_fields(const common::Json& json);
 /// Renders a StopEvent's fields as a JSON object (the v2 event payload).
 common::Json stop_event_payload(const StopEvent& event);

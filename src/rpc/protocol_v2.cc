@@ -77,8 +77,16 @@ bool is_v2_envelope(const Json& json) {
          version->get().as_int() >= kProtocolV2;
 }
 
-DecodedRequestV2 decode_request_v2(const Json& json) {
+DecodedRequestV2 parse_request_v2(const std::string& text) {
   DecodedRequestV2 decoded;
+  Json json;
+  try {
+    json = Json::parse(text);
+  } catch (const std::exception& error) {
+    decoded.error = ErrorCode::MalformedRequest;
+    decoded.reason = std::string("malformed request: ") + error.what();
+    return decoded;
+  }
   if (!json.is_object()) {
     decoded.error = ErrorCode::MalformedRequest;
     decoded.reason = "request is not a JSON object";
@@ -120,19 +128,6 @@ DecodedRequestV2 decode_request_v2(const Json& json) {
   return decoded;
 }
 
-DecodedRequestV2 parse_request_v2(const std::string& text) {
-  Json json;
-  try {
-    json = Json::parse(text);
-  } catch (const std::exception& error) {
-    DecodedRequestV2 decoded;
-    decoded.error = ErrorCode::MalformedRequest;
-    decoded.reason = std::string("malformed request: ") + error.what();
-    return decoded;
-  }
-  return decode_request_v2(json);
-}
-
 std::string serialize_request_v2(const RequestV2& request) {
   Json json = Json::object();
   json["version"] = Json(kProtocolV2);
@@ -140,6 +135,19 @@ std::string serialize_request_v2(const RequestV2& request) {
   json["token"] = Json(request.token);
   json["payload"] = request.payload;
   return json.dump();
+}
+
+const char* command_name(Command command) {
+  switch (command) {
+    case Command::Continue: return "continue";
+    case Command::Pause: return "pause";
+    case Command::StepOver: return "step-over";
+    case Command::StepBack: return "step-back";
+    case Command::ReverseContinue: return "reverse-continue";
+    case Command::Jump: return "jump";
+    case Command::Detach: return "detach";
+  }
+  return "continue";
 }
 
 // -- responses / events -------------------------------------------------------
@@ -157,15 +165,6 @@ std::string serialize_response_v2(const ResponseV2& response) {
   }
   json["payload"] = response.payload;
   return json.dump();
-}
-
-std::string serialize_response_as_v1(const ResponseV2& response) {
-  GenericResponse v1;
-  v1.token = response.token;
-  v1.success = response.ok();
-  v1.reason = response.reason;
-  v1.payload = response.payload;
-  return serialize_response(v1);
 }
 
 std::string serialize_event_v2(const EventV2& event) {
@@ -230,68 +229,6 @@ ServerMessageV2 parse_server_message_v2(const std::string& text) {
     throw std::runtime_error("unknown server message type '" + type + "'");
   }
   return message;
-}
-
-// -- v1 compat shim -----------------------------------------------------------
-
-const char* v2_command_name(CommandRequest::Command command) {
-  switch (command) {
-    case CommandRequest::Command::Continue: return "continue";
-    case CommandRequest::Command::Pause: return "pause";
-    case CommandRequest::Command::StepOver: return "step-over";
-    case CommandRequest::Command::StepBack: return "step-back";
-    case CommandRequest::Command::ReverseContinue: return "reverse-continue";
-    case CommandRequest::Command::Jump: return "jump";
-    case CommandRequest::Command::Detach: return "detach";
-  }
-  return "continue";
-}
-
-RequestV2 v2_from_v1(const Request& request) {
-  RequestV2 v2;
-  v2.token = request.token;
-  switch (request.kind) {
-    case Request::Kind::Breakpoint: {
-      v2.command = request.breakpoint.action == BreakpointRequest::Action::Add
-                       ? "breakpoint-add"
-                       : "breakpoint-remove";
-      v2.payload["filename"] = Json(request.breakpoint.filename);
-      v2.payload["line"] =
-          Json(static_cast<int64_t>(request.breakpoint.line));
-      v2.payload["column"] =
-          Json(static_cast<int64_t>(request.breakpoint.column));
-      if (!request.breakpoint.condition.empty()) {
-        v2.payload["condition"] = Json(request.breakpoint.condition);
-      }
-      break;
-    }
-    case Request::Kind::BpLocation:
-      v2.command = "bp-location";
-      v2.payload["filename"] = Json(request.bp_location.filename);
-      v2.payload["line"] =
-          Json(static_cast<int64_t>(request.bp_location.line));
-      break;
-    case Request::Kind::Command:
-      v2.command = v2_command_name(request.command.command);
-      if (request.command.command == CommandRequest::Command::Jump) {
-        v2.payload["time"] = Json(static_cast<int64_t>(request.command.time));
-      }
-      break;
-    case Request::Kind::Evaluation:
-      v2.command = "evaluate";
-      v2.payload["expression"] = Json(request.evaluation.expression);
-      if (request.evaluation.breakpoint_id) {
-        v2.payload["breakpoint_id"] = Json(*request.evaluation.breakpoint_id);
-      }
-      if (!request.evaluation.instance_name.empty()) {
-        v2.payload["instance_name"] = Json(request.evaluation.instance_name);
-      }
-      break;
-    case Request::Kind::DebuggerInfo:
-      v2.command = "info";
-      break;
-  }
-  return v2;
 }
 
 }  // namespace hgdb::rpc

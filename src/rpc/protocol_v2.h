@@ -10,8 +10,10 @@
 
 namespace hgdb::rpc {
 
-/// Debug protocol v2: a schema-driven envelope replacing the closed v1
-/// request enum. Every client->runtime message is
+/// The debug protocol between debugger clients and the hgdb runtime (paper
+/// Sec. 3.5: "RPC-based debugging protocol similar to gdb remote
+/// protocol"), one JSON object per Channel message. Every client->runtime
+/// message is
 ///
 ///   {"version": 2, "command": "<name>", "token": <int>, "payload": {...}}
 ///
@@ -29,11 +31,8 @@ namespace hgdb::rpc {
 /// new request families never touch the runtime core. A `connect` handshake
 /// advertises the backend's actual capabilities (time travel, set-value,
 /// live vs. replay) straight from vpi::SimulatorInterface, and failures
-/// carry typed error codes instead of free-form reasons.
-///
-/// v1 messages (no "version" field) remain accepted through a compat shim:
-/// they are translated onto the v2 command namespace and answered in the v1
-/// generic wire format.
+/// carry typed error codes instead of free-form reasons. A message without
+/// the envelope is answered with a malformed-request error.
 
 constexpr int64_t kProtocolV2 = 2;
 
@@ -86,8 +85,8 @@ struct RequestV2 {
   common::Json payload = common::Json::object();
 };
 
-/// Decode result; a malformed envelope is reported as a typed error (the
-/// parse functions never throw), keeping garbage off the service thread's
+/// Decode result; a malformed envelope is reported as a typed error
+/// (parse_request_v2 never throws), keeping garbage off the service thread's
 /// exception path entirely.
 struct DecodedRequestV2 {
   RequestV2 request;
@@ -100,10 +99,11 @@ struct DecodedRequestV2 {
 [[nodiscard]] bool is_v2_envelope(const common::Json& json);
 
 DecodedRequestV2 parse_request_v2(const std::string& text);
-/// Same, over an already-parsed document (the dispatcher parses once to
-/// sniff the version).
-DecodedRequestV2 decode_request_v2(const common::Json& json);
 std::string serialize_request_v2(const RequestV2& request);
+
+/// Wire command name of an execution command ("continue", "step-over",
+/// "jump", ...).
+[[nodiscard]] const char* command_name(Command command);
 
 // -- responses / events -------------------------------------------------------
 
@@ -122,9 +122,6 @@ struct ResponseV2 {
 };
 
 std::string serialize_response_v2(const ResponseV2& response);
-/// Renders a v2 response in the v1 generic wire format (compat shim: v1
-/// clients receive exactly what the old runtime sent).
-std::string serialize_response_as_v1(const ResponseV2& response);
 
 struct EventV2 {
   std::string event;
@@ -143,15 +140,6 @@ struct ServerMessageV2 {
 
 /// Throws std::runtime_error (only) on malformed input.
 ServerMessageV2 parse_server_message_v2(const std::string& text);
-
-// -- v1 compat shim -----------------------------------------------------------
-
-/// Maps a decoded v1 request onto the v2 command namespace; the session
-/// dispatcher then treats it like any v2 request.
-RequestV2 v2_from_v1(const Request& request);
-
-/// v2 command name for a v1 execution command ("continue", "jump", ...).
-[[nodiscard]] const char* v2_command_name(CommandRequest::Command command);
 
 }  // namespace hgdb::rpc
 

@@ -82,12 +82,12 @@ struct RuntimeOptions {
 ///  - direct: set_stop_handler() receives stop events synchronously and
 ///    returns the next command (tests, scripted debugging);
 ///  - RPC: serve()/serve_tcp() attach debugger clients through the
-///    session::SessionManager, which speaks the versioned debug protocol
-///    (v2 envelopes + v1 compat) over any rpc::Channel and hosts N
-///    concurrent clients against this one runtime.
+///    session::SessionManager, which speaks the v2 debug protocol over
+///    any rpc::Channel and hosts N concurrent clients against this one
+///    runtime.
 class Runtime {
  public:
-  using Command = rpc::CommandRequest::Command;
+  using Command = rpc::Command;
   using StopHandler = std::function<Command(const rpc::StopEvent&)>;
 
   Runtime(vpi::SimulatorInterface& interface, const symbols::SymbolTable& table,

@@ -47,7 +47,7 @@ DebugService::~DebugService() { runtime_->set_change_listener(nullptr); }
 // ---------------------------------------------------------------------------
 
 ClientId DebugService::register_client(const std::string& name,
-                                       EventSink* sink, int protocol) {
+                                       EventSink* sink) {
   common::LockGuard lock(clients_mutex_);
   const size_t limit = runtime_->options().max_sessions;
   if (limit != 0 && clients_.size() >= limit) {
@@ -59,7 +59,6 @@ ClientId DebugService::register_client(const std::string& name,
   ClientState state;
   state.id = id;
   state.name = name;
-  state.protocol = protocol;
   state.sink = sink;
   clients_.emplace(id, std::move(state));
   return id;
@@ -99,11 +98,6 @@ void DebugService::set_client_name(ClientId id, const std::string& name) {
   client_at(id).name = name;
 }
 
-void DebugService::set_client_protocol(ClientId id, int protocol) {
-  common::LockGuard lock(clients_mutex_);
-  client_at(id).protocol = protocol;
-}
-
 void DebugService::set_client_sink(ClientId id, EventSink* sink) {
   // Swapping the sink must also wait out an in-flight delivery to the old
   // one (same lifetime contract as unregister_client).
@@ -130,7 +124,7 @@ std::vector<ClientView> DebugService::clients() const {
   std::vector<ClientView> views;
   views.reserve(clients_.size());
   for (const auto& [id, client] : clients_) {
-    views.push_back(ClientView{id, client.name, client.protocol});
+    views.push_back(ClientView{id, client.name});
   }
   return views;
 }
@@ -604,11 +598,8 @@ void DebugService::notify_breakpoint_change(ClientId actor,
   {
     common::LockGuard lock(clients_mutex_);
     for (auto& [id, client] : clients_) {
-      // The editing session already knows; v1 clients have no event
-      // vocabulary for this (the v1 wire only carries stops).
-      if (id == actor || client.sink == nullptr || client.protocol < 2) {
-        continue;
-      }
+      // The editing session already knows.
+      if (id == actor || client.sink == nullptr) continue;
       targets.push_back(Target{client.sink, client.binary});
       any_binary |= client.binary;
     }

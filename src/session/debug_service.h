@@ -97,7 +97,6 @@ struct InstanceView {
 struct ClientView {
   ClientId id = 0;
   std::string name;
-  int protocol = 2;  ///< negotiated wire protocol (1/2 native, 2 for DAP)
 };
 
 struct SubscribeSpec {
@@ -178,7 +177,7 @@ class EventSink {
 /// Every method may throw ServiceError with a typed rpc::ErrorCode.
 class DebugService {
  public:
-  using Command = rpc::CommandRequest::Command;
+  using Command = rpc::Command;
 
   explicit DebugService(runtime::Runtime& runtime);
   ~DebugService();
@@ -190,14 +189,12 @@ class DebugService {
   /// Registers a client and its event sink; returns the client id. Throws
   /// ServiceError(TooManySessions) beyond RuntimeOptions::max_sessions.
   /// The sink must outlive the registration.
-  ClientId register_client(const std::string& name, EventSink* sink,
-                           int protocol = 2);
+  ClientId register_client(const std::string& name, EventSink* sink);
   /// Releases everything the client owns (breakpoint arms, watches,
   /// subscriptions), resigns it from a pending stop, and forgets it.
   /// Returns how many runtime breakpoints died. Safe to call twice.
   size_t unregister_client(ClientId id);
   void set_client_name(ClientId id, const std::string& name);
-  void set_client_protocol(ClientId id, int protocol);
   /// Attaches the sink after registration (front ends whose sink object
   /// needs the client id first). Events fired in between are dropped.
   void set_client_sink(ClientId id, EventSink* sink);
@@ -314,7 +311,6 @@ class DebugService {
   struct ClientState {
     ClientId id = 0;
     std::string name;
-    int protocol = 2;
     EventSink* sink = nullptr;
     bool engaged = false;  ///< expected to answer stops
     bool binary = false;   ///< receives events as binary frames

@@ -75,18 +75,10 @@ bool DebugSession::deliver(const ServiceEvent& event) {
             rpc::make_event_frame(rpc::FrameKind::Stop, std::move(body)),
             /*force=*/false);
       }
-      const std::string text =
-          protocol_version() >= 2
-              ? rpc::serialize_event_v2(rpc::EventV2{
-                    "stop", rpc::stop_event_payload(event.stop)})
-              : rpc::serialize_stop_event(event.stop);
-      return send_event(text);
+      return send_event(rpc::serialize_event_v2(
+          rpc::EventV2{"stop", rpc::stop_event_payload(event.stop)}));
     }
     case ServiceEvent::Kind::ValueChange: {
-      // v1 clients cannot subscribe, so nothing can reach them here; keep
-      // the guard anyway so a v1 session is never sent bytes it cannot
-      // parse.
-      if (protocol_version() < 2) return true;
       if (binary) {
         rpc::SharedFrame body =
             event.binary_body
@@ -132,7 +124,6 @@ bool DebugSession::deliver(const ServiceEvent& event) {
                                              std::move(body)),
                        /*force=*/false);
       }
-      if (protocol_version() < 2) return true;  // no v1 vocabulary for this
       Json payload = Json::object();
       payload["action"] = Json(event.breakpoint_change.action);
       payload["filename"] = Json(event.breakpoint_change.filename);

@@ -14,17 +14,16 @@
 
 namespace hgdb::session {
 
-/// One attached native-protocol client: its transport endpoint and
-/// negotiated protocol version. Created and driven by SessionManager,
-/// which runs one reader thread per session; send() is safe from any
-/// thread (responses from the session thread, pushed events from the
-/// simulation thread).
+/// One attached native-protocol client: its transport endpoint and event
+/// encoding. Created and driven by SessionManager, which runs one reader
+/// thread per session; send() is safe from any thread (responses from the
+/// session thread, pushed events from the simulation thread).
 ///
 /// All debugging state — breakpoint/watch ownership, engagement,
 /// subscriptions — lives in the DebugService client registry; the session
 /// is purely the transport + wire-format half, and receives pushed events
-/// as the client's EventSink (rendering them in the negotiated v1/v2 wire
-/// format, or enqueuing binary frames once the client opted in).
+/// as the client's EventSink (rendering them as v2 JSON events, or
+/// enqueuing binary frames once the client opted in).
 class DebugSession final : public EventSink {
  public:
   DebugSession(ClientId id, std::unique_ptr<rpc::Channel> channel);
@@ -33,13 +32,6 @@ class DebugSession final : public EventSink {
   DebugSession& operator=(const DebugSession&) = delete;
 
   [[nodiscard]] ClientId id() const { return id_; }
-
-  /// 1 until the first v2 envelope arrives on this session, then latched
-  /// to 2 — decides the wire format of responses and pushed events.
-  [[nodiscard]] int protocol_version() const {
-    return version_.load(std::memory_order_acquire);
-  }
-  void promote_to_v2() { version_.store(2, std::memory_order_release); }
 
   /// Set when the service rejected the client (session limit): the first
   /// request is answered with the stored error, then the session closes.
@@ -115,9 +107,8 @@ class DebugSession final : public EventSink {
   void set_bytes_counter(obs::Counter* counter) { bytes_sent_ = counter; }
 
   // -- EventSink ---------------------------------------------------------------
-  /// Renders a pushed service event in this session's wire format and
-  /// sends it. Value-change events exist in v2 only (a v1 client cannot
-  /// subscribe); lifecycle events reach binary sessions as frames but are
+  /// Renders a pushed service event in this session's event encoding and
+  /// sends it. Lifecycle events reach binary sessions as frames but are
   /// not on the native JSON wire.
   bool deliver(const ServiceEvent& event) override;
 
@@ -129,7 +120,6 @@ class DebugSession final : public EventSink {
 
   const ClientId id_;
   std::unique_ptr<rpc::Channel> channel_;
-  std::atomic<int> version_{1};
   std::atomic<bool> alive_{true};
   std::atomic<bool> reapable_{false};
   std::atomic<bool> binary_{false};

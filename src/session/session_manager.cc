@@ -110,7 +110,7 @@ uint64_t SessionManager::add_client(std::unique_ptr<rpc::Channel> channel) {
   ClientId id = 0;
   bool rejected = false;
   try {
-    id = service_->register_client("client", nullptr, 1);
+    id = service_->register_client("client", nullptr);
   } catch (const ServiceError&) {
     rejected = true;
   }
@@ -292,56 +292,17 @@ void SessionManager::enable_binary_events(DebugSession& session) {
 
 void SessionManager::dispatch(DebugSession& session, const std::string& text) {
   service_->count_request();
-
-  Json json;
-  try {
-    json = Json::parse(text);
-  } catch (const std::exception& error) {
+  auto decoded = rpc::parse_request_v2(text);
+  if (!decoded.ok()) {
     service_->count_protocol_error();
     ResponseV2 response;
-    response.fail(ErrorCode::MalformedRequest,
-                  std::string("malformed request: ") + error.what());
-    session.send(session.protocol_version() >= 2
-                     ? rpc::serialize_response_v2(response)
-                     : rpc::serialize_response_as_v1(response));
-    return;
-  }
-
-  if (rpc::is_v2_envelope(json)) {
-    session.promote_to_v2();
-    if (!session.rejected()) {
-      service_->set_client_protocol(session.id(), 2);
-    }
-    auto decoded = rpc::decode_request_v2(json);
-    if (!decoded.ok()) {
-      service_->count_protocol_error();
-      ResponseV2 response;
-      response.token = decoded.request.token;
-      response.command = decoded.request.command;
-      response.fail(decoded.error, decoded.reason);
-      session.send(rpc::serialize_response_v2(response));
-      return;
-    }
-    ResponseV2 response = execute(session, decoded.request);
+    response.token = decoded.request.token;
+    response.command = decoded.request.command;
+    response.fail(decoded.error, decoded.reason);
     session.send(rpc::serialize_response_v2(response));
     return;
   }
-
-  // v1 message: translate through the compat shim and answer in the v1
-  // wire format.
-  rpc::Request v1;
-  try {
-    v1 = rpc::parse_request(text);
-  } catch (const std::exception& error) {
-    service_->count_protocol_error();
-    ResponseV2 response;
-    response.token = json.is_object() ? json.get_int("token") : 0;
-    response.fail(ErrorCode::MalformedRequest, error.what());
-    session.send(rpc::serialize_response_as_v1(response));
-    return;
-  }
-  ResponseV2 response = execute(session, rpc::v2_from_v1(v1));
-  session.send(rpc::serialize_response_as_v1(response));
+  session.send(rpc::serialize_response_v2(execute(session, decoded.request)));
 }
 
 ResponseV2 SessionManager::execute(DebugSession& session,
@@ -557,24 +518,23 @@ void SessionManager::register_builtins() {
 
   // -- execution --------------------------------------------------------------
   struct ExecutionCommand {
-    const char* name;
     Command command;
     Gate gate;
   };
   const ExecutionCommand executions[] = {
-      {"continue", Command::Continue, Gate::None},
-      {"pause", Command::Pause, Gate::None},
-      {"step-over", Command::StepOver, Gate::None},
+      {Command::Continue, Gate::None},
+      {Command::Pause, Gate::None},
+      {Command::StepOver, Gate::None},
       // step-back / reverse-continue intentionally ungated: without time
       // travel the scheduler degrades them to forward stepping, which is
       // still useful. jump has no degraded meaning, so it is gated.
-      {"step-back", Command::StepBack, Gate::None},
-      {"reverse-continue", Command::ReverseContinue, Gate::None},
-      {"jump", Command::Jump, Gate::TimeTravel},
+      {Command::StepBack, Gate::None},
+      {Command::ReverseContinue, Gate::None},
+      {Command::Jump, Gate::TimeTravel},
   };
   for (const auto& execution : executions) {
     register_command(
-        execution.name,
+        rpc::command_name(execution.command),
         [this, command = execution.command](DebugSession& session,
                                             const RequestV2& request,
                                             ResponseV2& response) {
@@ -771,7 +731,7 @@ void SessionManager::register_builtins() {
       Json item = Json::object();
       item["id"] = Json(static_cast<int64_t>(client.id));
       item["client"] = Json(client.name);
-      item["protocol"] = Json(static_cast<int64_t>(client.protocol));
+      item["protocol"] = Json(rpc::kProtocolV2);
       sessions.push_back(std::move(item));
     }
     response.payload["sessions"] = std::move(sessions);

@@ -41,15 +41,14 @@ class DapServer;
 ///    rpc::Channel plus a TCP accept loop (listen_tcp), dispatching v2
 ///    JSON envelopes through a *command registry* whose handlers decode
 ///    payloads and call the typed core — adding a request family means
-///    registering a handler, not editing the runtime core. v1 clients
-///    keep working through the translate shim, answered in the v1 wire
-///    format, byte-compatible with the pre-DebugService protocol;
+///    registering a handler, not editing the runtime core. A message
+///    that is not a v2 envelope gets a typed malformed-request error;
 ///  - the *DAP* front end (listen_dap): VSCode attaches over Content-
 ///    Length framing, sharing the same core — breakpoint refcounts, stop
 ///    routing, and the session limit span both protocols.
 class SessionManager {
  public:
-  using Command = rpc::CommandRequest::Command;
+  using Command = rpc::Command;
   /// A command handler fills in `response` (already carrying the echoed
   /// command/token). Throwing ServiceError maps to its typed code;
   /// std::invalid_argument to invalid-payload, std::out_of_range to

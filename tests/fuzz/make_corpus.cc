@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "rpc/event_frame.h"
+#include "rpc/protocol_v2.h"
 #include "session/dap_protocol.h"
 #include "waveform/manifest.h"
 
@@ -43,6 +45,7 @@ int main(int argc, char** argv) {
   }
   const std::string root = argv[1];
   using namespace hgdb::rpc;
+  using hgdb::common::Json;
 
   // -- event_frame: one seed per FrameKind plus edge shapes ----------------
   {
@@ -101,21 +104,57 @@ int main(int argc, char** argv) {
                stop_bytes.substr(0, stop_bytes.size() / 2));
   }
 
-  // -- protocol_v2: envelopes the session parser must survive -------------
+  // -- protocol_v2: envelopes the session and client parsers must survive --
   {
     const std::string dir = root + "/protocol_v2/";
-    write_file(dir + "request",
-               R"({"hgdb": 2, "id": 1, "command": "evaluate",)"
-               R"( "payload": {"expression": "a + b"}})");
+    RequestV2 request;
+    request.command = "evaluate";
+    request.token = 1;
+    request.payload["expression"] = Json("a + b");
+    write_file(dir + "request", serialize_request_v2(request));
+
     write_file(dir + "no_payload",
-               R"({"hgdb": 2, "id": 2, "command": "info"})");
-    write_file(dir + "bad_version", R"({"hgdb": 99, "id": 3})");
+               R"({"version": 2, "token": 2, "command": "info"})");
+
+    write_file(dir + "bad_version",
+               R"({"version": 1, "token": 3, "command": "info"})");
     write_file(dir + "not_object", R"([1, 2, 3])");
     write_file(dir + "not_json", "hello, world");
     write_file(dir + "empty", "");
-    write_file(dir + "nested",
-               R"({"hgdb": 2, "id": 4, "command": "subscribe",)"
-               R"( "payload": {"signals": ["a", "b"], "decimation": 10}})");
+
+    RequestV2 subscribe;
+    subscribe.command = "subscribe";
+    subscribe.token = 4;
+    Json signals = Json::array();
+    signals.push_back(Json("a"));
+    signals.push_back(Json("b"));
+    subscribe.payload["signals"] = std::move(signals);
+    subscribe.payload["decimation"] = Json(int64_t{10});
+    write_file(dir + "nested", serialize_request_v2(subscribe));
+
+    // Runtime->client messages, for the client-side decode.
+    StopEvent stop;
+    stop.time = 1234;
+    Frame frame;
+    frame.breakpoint_id = 7;
+    frame.instance_id = 3;
+    frame.instance_name = "top.dut";
+    frame.filename = "design.sv";
+    frame.line = 42;
+    frame.column = 8;
+    insert_nested(frame.locals, "io.out.bits", Json("5"));
+    insert_nested(frame.generator, "width", Json("32"));
+    frame.matched_conditions.push_back("a == b");
+    stop.frames.push_back(frame);
+    stop.watch_hits.push_back(WatchHit{9, "counter", "4", "5"});
+    write_file(dir + "stop_event",
+               serialize_event_v2(EventV2{"stop", stop_event_payload(stop)}));
+
+    ResponseV2 error;
+    error.command = "jump";
+    error.token = 5;
+    error.fail(ErrorCode::UnsupportedCapability, "no time travel");
+    write_file(dir + "error_response", serialize_response_v2(error));
   }
 
   // -- dap_codec: Content-Length framings -----------------------------------

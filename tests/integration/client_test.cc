@@ -44,11 +44,7 @@ class ClientTest : public ::testing::Test {
 
     auto [client_side, server_side] = rpc::make_channel_pair();
     runtime_->serve(std::move(server_side));
-    // Explicitly v1: these tests pin the legacy wire format through the
-    // session layer's compat shim (v2-native coverage lives in
-    // tests/session/).
-    client_ = std::make_unique<DebugClient>(std::move(client_side),
-                                            Protocol::V1);
+    client_ = std::make_unique<DebugClient>(std::move(client_side));
   }
 
   void TearDown() override {
@@ -158,7 +154,7 @@ TEST(ClientTcp, FullSessionOverTcp) {
   auto client_channel = rpc::tcp_connect("127.0.0.1", server.port());
   acceptor.join();
   runtime.serve(std::move(server_side));
-  DebugClient client(std::move(client_channel), Protocol::V1);
+  DebugClient client(std::move(client_channel));
 
   ASSERT_EQ(client.set_breakpoint("demo.cc", 7).size(), 1u);
   std::thread sim_thread([&] {

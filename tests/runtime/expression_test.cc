@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <tuple>
 
 namespace hgdb::runtime {
 namespace {
@@ -170,8 +172,11 @@ TEST(Expression, CacheKeyNormalizesSpelling) {
             Expression::parse("bits(x, 3, 2)").cache_key());  // params
 }
 
+// The text is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, which would make the test names differ on
+// every run.
 class ExpressionGolden
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
 
 TEST_P(ExpressionGolden, Matches) {
   const auto& [text, expected] = GetParam();

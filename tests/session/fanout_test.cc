@@ -322,24 +322,17 @@ TEST_F(DisconnectOnOverflowTest, OverflowDisconnectsWhenConfigured) {
   ASSERT_EQ(runtime_->session_manager()->session_count(), 2u);
 
   // The JSON control client rides the same bounded writer queues as the
-  // binary one, so it can never head-of-line-block the storm — but with
-  // disconnect_on_overflow armed it must keep reading or the overflow
-  // policy would disconnect *it* too, and this test wants the stalled
-  // client to be the one that dies.
-  std::atomic<bool> storm_done{false};
-  std::thread drain([&] {
-    while (!storm_done.load()) {
-      control->wait_stop(std::chrono::milliseconds(100));
-    }
-  });
-
+  // binary one, so with disconnect_on_overflow armed its queue must never
+  // overflow either — this test wants the stalled client to be the one
+  // that dies. The storm is paced by the control client: each stop must
+  // reach it before the next one is sent, so its queue holds at most one
+  // event while the stalled client's queue fills up.
   auto& service = runtime_->session_manager()->service();
   for (int i = 0; i < 4000; ++i) {
     service.deliver_stop(make_stop(static_cast<uint64_t>(i), 16 * 1024));
+    ASSERT_TRUE(control->wait_stop(std::chrono::seconds(2)));
     if (runtime_->session_manager()->session_count() < 2) break;
   }
-  storm_done.store(true);
-  drain.join();
   // The overflow marks the session dead synchronously; its reader thread
   // then reaps it. The JSON control client is untouched.
   const auto deadline =

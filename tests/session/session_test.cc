@@ -17,7 +17,6 @@ namespace hgdb::session {
 namespace {
 
 using debugger::DebugClient;
-using debugger::Protocol;
 using rpc::ErrorCode;
 
 constexpr const char* kDesign = R"(circuit Demo
@@ -288,8 +287,7 @@ TEST_F(SessionTest, MalformedInputGetsTypedErrorAndSessionSurvives) {
   const uint16_t port = runtime_->serve_tcp(0);
   auto raw = rpc::tcp_connect("127.0.0.1", port);
 
-  // Garbage of every shape: each gets a structured v2 error (the channel
-  // was promoted by the first v2 envelope) or v1 generic error, and the
+  // Garbage of every shape: each gets a structured v2 error, and the
   // session thread survives to answer the next request.
   raw->send(R"({"version":2,"command":"connect","token":1})");
   auto reply = raw->receive(std::chrono::milliseconds(2000));
@@ -328,27 +326,72 @@ TEST_F(SessionTest, MalformedInputGetsTypedErrorAndSessionSurvives) {
   EXPECT_TRUE(message.response.ok());
 }
 
-TEST_F(SessionTest, RawV1MessagesFlowThroughTheCompatShim) {
+TEST_F(SessionTest, VersionlessMessageGetsTypedV2Error) {
   const uint16_t port = runtime_->serve_tcp(0);
   auto raw = rpc::tcp_connect("127.0.0.1", port);
 
+  // A message without the v2 envelope is refused with the typed error and
+  // its token echoed, like any other malformed request.
   raw->send(
       R"({"type":"breakpoint","action":"add","filename":"demo.cc","line":7,"column":0,"token":11})");
   auto reply = raw->receive(std::chrono::milliseconds(2000));
   ASSERT_TRUE(reply.has_value());
-  const auto message = rpc::parse_server_message(*reply);
-  EXPECT_EQ(message.kind, rpc::ServerMessage::Kind::Generic);
-  EXPECT_EQ(message.generic.token, 11);
-  EXPECT_TRUE(message.generic.success);
-  EXPECT_EQ(message.generic.payload.get("ids")->get().size(), 1u);
+  auto message = rpc::parse_server_message_v2(*reply);
+  EXPECT_EQ(message.kind, rpc::ServerMessageV2::Kind::Response);
+  EXPECT_EQ(message.response.error, ErrorCode::MalformedRequest);
+  EXPECT_EQ(message.response.token, 11);
+  // Nothing was armed.
+  EXPECT_EQ(client_a_->info()["breakpoints"].size(), 0u);
 
-  // Malformed v1 gets a v1-format error, not a dead thread.
-  raw->send(R"({"type":"breakpoint","token":12})");
+  // The session survives and answers the next request.
+  raw->send(R"({"version":2,"command":"info","token":12})");
   reply = raw->receive(std::chrono::milliseconds(2000));
   ASSERT_TRUE(reply.has_value());
-  const auto error = rpc::parse_server_message(*reply);
-  EXPECT_FALSE(error.generic.success);
-  EXPECT_EQ(error.generic.token, 12);
+  message = rpc::parse_server_message_v2(*reply);
+  EXPECT_TRUE(message.response.ok());
+  EXPECT_EQ(message.response.token, 12);
+}
+
+TEST_F(SessionTest, SilentSessionReceivesV2EventsFromTheStart) {
+  // A raw connection that has not sent a single request is already a v2
+  // session: it hears about another client's breakpoint and gets the
+  // stop as a v2 event envelope.
+  const uint16_t port = runtime_->serve_tcp(0);
+  auto raw = rpc::tcp_connect("127.0.0.1", port);
+  auto* manager = runtime_->session_manager();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (manager->session_count() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(manager->session_count(), 3u);
+
+  ASSERT_EQ(client_a_->set_breakpoint("demo.cc", 7).size(), 1u);
+  auto reply = raw->receive(std::chrono::milliseconds(2000));
+  ASSERT_TRUE(reply.has_value());
+  auto json = common::Json::parse(*reply);
+  EXPECT_EQ(json.get_int("version"), 2);
+  EXPECT_EQ(json.get_string("type"), "event");
+  EXPECT_EQ(json.get_string("event"), "breakpoint-changed");
+  EXPECT_EQ(json["payload"].get_string("action"), "armed");
+  EXPECT_EQ(json["payload"].get_int("line"), 7);
+
+  run_async(5);
+  reply = raw->receive(std::chrono::milliseconds(5000));
+  ASSERT_TRUE(reply.has_value());
+  json = common::Json::parse(*reply);
+  EXPECT_EQ(json.get_int("version"), 2);
+  EXPECT_EQ(json.get_string("type"), "event");
+  EXPECT_EQ(json.get_string("event"), "stop");
+  const auto stop = rpc::stop_event_fields(json["payload"]);
+  ASSERT_EQ(stop.frames.size(), 1u);
+  EXPECT_EQ(stop.frames[0].line, 7u);
+
+  ASSERT_TRUE(client_a_->wait_stop(std::chrono::milliseconds(5000)));
+  ASSERT_TRUE(client_b_->wait_stop(std::chrono::milliseconds(5000)));
+  client_a_->detach();
+  client_b_->detach();
 }
 
 TEST_F(SessionTest, SessionManagerExposesState) {
@@ -414,32 +457,6 @@ TEST(SessionGating, SetValueWorksWhenSupported) {
   EXPECT_FALSE(client.set_value("Demo.no_such_signal", "1"));
   EXPECT_EQ(client.last_error_code(), ErrorCode::NoSuchEntity);
 
-  runtime.stop_service();
-}
-
-TEST(SessionGating, V1ClientModeStillWorksAgainstTheSessionLayer) {
-  frontend::CompileOptions options;
-  options.debug_mode = true;
-  auto compiled = frontend::compile(ir::parse_circuit(kDesign), options);
-  symbols::MemorySymbolTable table(compiled.symbols);
-  sim::Simulator simulator(compiled.netlist);
-  vpi::NativeBackend backend(simulator);
-  runtime::Runtime runtime(backend, table);
-  runtime.attach();
-
-  auto [client_side, server_side] = rpc::make_channel_pair();
-  runtime.serve(std::move(server_side));
-  DebugClient client(std::move(client_side), Protocol::V1);
-
-  ASSERT_EQ(client.set_breakpoint("demo.cc", 7).size(), 1u);
-  std::thread sim_thread([&] {
-    while (simulator.cycle() < 3) simulator.tick();
-  });
-  auto stop = client.wait_stop(std::chrono::milliseconds(5000));
-  ASSERT_TRUE(stop.has_value());
-  EXPECT_EQ(stop->frames[0].line, 7u);
-  client.detach();
-  sim_thread.join();
   runtime.stop_service();
 }
 

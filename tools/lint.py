@@ -3,7 +3,7 @@
 the static-analysis gate (the expensive half is clang's -Wthread-safety,
 which needs clang and runs in CI).
 
-Rules enforced over src/:
+Rules 1-5 are enforced over src/, rule 6 over the README:
 
   1. Every method whose name ends in `_locked` must carry an
      HGDB_REQUIRES annotation on its declaration. The suffix is the
@@ -29,12 +29,20 @@ Rules enforced over src/:
      metric catalogue (delegated to the hgdb-analyze exhaustiveness
      checker, so the lint and the analyzer can never disagree).
 
+  6. Every bold `**~Nx**` speedup in the README's Fig. 5 table (rows
+     whose scenario is `hot` or `quiet`) must lie within 30% of that
+     scenario's `condition_eval.<scenario>.speedup` in
+     bench/baselines/BENCH_fig5.json, and both scenarios must carry one.
+     A performance claim in the README traces to a committed baseline,
+     not to a machine nobody can rerun.
+
 Exit status 0 when clean; 1 with one `file:line: message` per violation
 otherwise. Run from the repo root: `python3 tools/lint.py`.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -51,6 +59,15 @@ NO_SUPPRESSION_TREES = (SRC / "runtime", SRC / "session")
 # Trees where the hgdb-analyze suppression budget is zero: findings get
 # fixed or promoted to model.json contracts, never waived per-line.
 ANALYZE_ZERO_BUDGET_TREES = (SRC / "session", SRC / "rpc")
+
+# Rule 6: README Fig. 5 speedups against the committed baseline.
+README = REPO_ROOT / "README.md"
+FIG5_BASELINE = REPO_ROOT / "bench" / "baselines" / "BENCH_fig5.json"
+FIG5_SCENARIOS = ("hot", "quiet")
+FIG5_MAX_DRIFT = 0.30
+FIG5_ROW_RE = re.compile(
+    r"^\|\s*(hot|quiet)\b[^|]*\|.*\*\*~([0-9]+(?:\.[0-9]+)?)x\*\*"
+)
 
 RAW_MUTEX_RE = re.compile(
     r"std::(?:mutex|recursive_mutex|timed_mutex|shared_mutex|"
@@ -154,6 +171,35 @@ def check_metric_literals(files: list[Path]) -> list[str]:
     ]
 
 
+def check_fig5_speedups() -> list[str]:
+    """Rule 6: the README's bold Fig. 5 speedups quote the committed
+    baseline (within FIG5_MAX_DRIFT)."""
+    baseline = json.loads(FIG5_BASELINE.read_text(encoding="utf-8"))
+    violations: list[str] = []
+    seen: set[str] = set()
+    lines = README.read_text(encoding="utf-8").splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        match = FIG5_ROW_RE.match(line)
+        if not match:
+            continue
+        scenario, claimed = match.group(1), float(match.group(2))
+        seen.add(scenario)
+        measured = baseline["condition_eval"][scenario]["speedup"]
+        if abs(claimed - measured) > FIG5_MAX_DRIFT * measured:
+            violations.append(
+                f"README.md:{line_no}: Fig. 5 {scenario} speedup ~{claimed:g}x"
+                f" is more than {FIG5_MAX_DRIFT:.0%} away from {measured:.1f}x"
+                " in bench/baselines/BENCH_fig5.json"
+            )
+    for scenario in FIG5_SCENARIOS:
+        if scenario not in seen:
+            violations.append(
+                f"README.md: Fig. 5 table has no bold **~Nx** speedup for"
+                f" the {scenario} scenario"
+            )
+    return violations
+
+
 def main() -> int:
     files = sorted(
         p for p in SRC.rglob("*")
@@ -163,10 +209,11 @@ def main() -> int:
     for path in files:
         all_violations.extend(check_file(path))
     all_violations.extend(check_metric_literals(files))
+    all_violations.extend(check_fig5_speedups())
     for violation in all_violations:
         print(violation)
     if all_violations:
-        print(f"\nlint: {len(all_violations)} violation(s) in src/",
+        print(f"\nlint: {len(all_violations)} violation(s)",
               file=sys.stderr)
         return 1
     print(f"lint: {len(files)} files clean")
