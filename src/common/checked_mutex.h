@@ -53,9 +53,6 @@ enum class LockRank : int {
   kRuntimeState = 50,       ///< Runtime scheduler state
   kRuntimePool = 40,        ///< ThreadPool work queue
   kSessionTransport = 35,   ///< Per-connection protocol state + socket writes
-  kWaveformPipeline = 32,   ///< Convert-pipeline error slot (above kWaveform:
-                            ///< a writer worker reports a failure, then its
-                            ///< shard writer's backend locks at kWaveform)
   kWaveform = 30,           ///< Waveform reader cache / writer backend
   kObs = 20,                ///< MetricsRegistry map, trace string interning
   kRpcWriter = 15,          ///< EventWriter target queues (above kRpc: the
@@ -77,7 +74,6 @@ enum class LockRank : int {
     case LockRank::kRuntimeState: return "runtime::state";
     case LockRank::kRuntimePool: return "runtime::pool";
     case LockRank::kSessionTransport: return "session::transport";
-    case LockRank::kWaveformPipeline: return "waveform::pipeline";
     case LockRank::kWaveform: return "waveform";
     case LockRank::kObs: return "obs";
     case LockRank::kRpcWriter: return "rpc::writer";
@@ -91,7 +87,7 @@ enum class LockRank : int {
 namespace detail {
 
 /// Per-thread record of held CheckedMutexes, innermost last. Fixed-size:
-/// the hierarchy is 16 ranks deep and equal ranks never nest, so a depth
+/// the hierarchy is 15 ranks deep and equal ranks never nest, so a depth
 /// past 16 is itself a discipline bug worth aborting on.
 struct HeldLocks {
   static constexpr int kMaxDepth = 16;
@@ -295,7 +291,6 @@ using ListenerMutex = CheckedMutex<LockRank::kRuntimeListener>;
 using StateMutex = CheckedMutex<LockRank::kRuntimeState>;
 using PoolMutex = CheckedMutex<LockRank::kRuntimePool>;
 using TransportMutex = CheckedMutex<LockRank::kSessionTransport>;
-using PipelineMutex = CheckedMutex<LockRank::kWaveformPipeline>;
 using WaveformMutex = CheckedMutex<LockRank::kWaveform>;
 using ObsMutex = CheckedMutex<LockRank::kObs>;
 using WriterMutex = CheckedMutex<LockRank::kRpcWriter>;

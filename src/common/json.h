@@ -55,8 +55,16 @@ class Json {
   [[nodiscard]] bool is_object() const { return type_ == Type::Object; }
 
   [[nodiscard]] bool as_bool() const { expect(Type::Bool); return bool_; }
+  /// Integer value; a Double truncates toward zero. Throws
+  /// std::runtime_error for a non-number, and for a Double outside
+  /// [-2^63, 2^63) or NaN, where the cast would be undefined.
   [[nodiscard]] int64_t as_int() const {
-    if (type_ == Type::Double) return static_cast<int64_t>(double_);
+    if (type_ == Type::Double) {
+      if (!(double_ >= -0x1p63 && double_ < 0x1p63)) {
+        throw std::runtime_error("Json number out of int64 range");
+      }
+      return static_cast<int64_t>(double_);
+    }
     expect(Type::Int);
     return int_;
   }

@@ -10,7 +10,7 @@
 //        hgdb-cli wvx-verify <file.wvx>
 //        hgdb-cli wvx-convert <in.vcd> <out.wvx> [--v2] [--v3]
 //                 [--fixed-codec] [--no-dedup] [--no-checksums]
-//                 [--block-cap N] [--jobs N] [--shard-by scope|none]
+//                 [--block-cap N] [--shard-by scope|none]
 //   workload: multiply | mm | mt-matmul | vvadd | qsort | dhrystone |
 //             median | towers | spmv | mt-vvadd | fpu
 //
@@ -30,9 +30,8 @@
 // the on-disk version (v4 per-signal codec auto-selection by default,
 // --v3 / --v2 / --fixed-codec / --no-dedup for the older layouts).
 // --shard-by scope splits the output into per-scope shard files behind a
-// manifest; --jobs N (default: hardware concurrency) runs the conversion
-// pipeline with N writer workers — shard content is byte-identical for
-// every jobs value.
+// manifest; the conversion runs on the calling thread and shard content
+// depends only on the dump.
 //
 // With --replay the workload is first simulated to a trace dump, then the
 // same REPL attaches to the *trace* through the replay backend (paper
@@ -587,7 +586,7 @@ int run_wvx_convert(int argc, char** argv) {
   if (argc < 4) {
     std::cerr << "usage: hgdb-cli wvx-convert <in.vcd> <out.wvx> [--v2] "
                  "[--v3] [--fixed-codec] [--no-dedup] [--no-checksums] "
-                 "[--block-cap N] [--jobs N] [--shard-by scope|none]\n";
+                 "[--block-cap N] [--shard-by scope|none]\n";
     return 2;
   }
   const std::string vcd_path = argv[2];
@@ -611,8 +610,6 @@ int run_wvx_convert(int argc, char** argv) {
     } else if (arg == "--block-cap" && i + 1 < argc) {
       options.index.block_capacity =
           static_cast<uint32_t>(std::stoul(argv[++i]));
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      options.jobs = static_cast<uint32_t>(std::stoul(argv[++i]));
     } else if (arg == "--shard-by" && i + 1 < argc) {
       const std::string mode = argv[++i];
       if (mode == "scope") {
@@ -642,8 +639,7 @@ int run_wvx_convert(int argc, char** argv) {
             << result.blocks << " block(s), format v" << result.version << ", "
             << result.codec << " codec";
   if (convert.shards != 0) {
-    std::cout << ", " << convert.shards << " shard(s) via " << convert.jobs
-              << " job(s)";
+    std::cout << ", " << convert.shards << " shard(s)";
   }
   if (result.aliases != 0) {
     std::cout << ", " << result.aliases << " alias(es) deduped";

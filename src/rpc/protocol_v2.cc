@@ -73,8 +73,9 @@ Capabilities Capabilities::from_json(const Json& json) {
 bool is_v2_envelope(const Json& json) {
   if (!json.is_object()) return false;
   auto version = json.get("version");
+  // as_double: any number compares, even one too large for as_int.
   return version && version->get().is_number() &&
-         version->get().as_int() >= kProtocolV2;
+         version->get().as_double() >= kProtocolV2;
 }
 
 DecodedRequestV2 parse_request_v2(const std::string& text) {
@@ -93,9 +94,15 @@ DecodedRequestV2 parse_request_v2(const std::string& text) {
     return decoded;
   }
   // Best-effort token extraction first, so even broken envelopes get their
-  // error correlated back to the request.
+  // error correlated back to the request. An out-of-range token stays 0
+  // and is reported below.
+  bool token_in_range = true;
   if (auto token = json.get("token"); token && token->get().is_number()) {
-    decoded.request.token = token->get().as_int();
+    try {
+      decoded.request.token = token->get().as_int();
+    } catch (const std::runtime_error&) {
+      token_in_range = false;
+    }
   }
   if (!is_v2_envelope(json)) {
     decoded.error = ErrorCode::MalformedRequest;
@@ -114,6 +121,11 @@ DecodedRequestV2 parse_request_v2(const std::string& text) {
     if (!token->get().is_number()) {
       decoded.error = ErrorCode::MalformedRequest;
       decoded.reason = "field 'token' must be a number";
+      return decoded;
+    }
+    if (!token_in_range) {
+      decoded.error = ErrorCode::MalformedRequest;
+      decoded.reason = "field 'token' is out of int64 range";
       return decoded;
     }
   }

@@ -88,7 +88,11 @@ Request parse_request(const Json& message) {
     throw std::runtime_error("dap: expected a request message");
   }
   Request request;
-  request.seq = message.get_int("seq");
+  try {
+    request.seq = message.get_int("seq");
+  } catch (const std::runtime_error&) {
+    throw std::runtime_error("dap: request 'seq' is out of int64 range");
+  }
   request.command = message.get_string("command");
   if (request.command.empty()) {
     throw std::runtime_error("dap: request missing 'command'");

@@ -37,13 +37,21 @@ std::string want_string(const Json& payload, const char* key) {
   return field.as_string();
 }
 
-int64_t want_int(const Json& payload, const char* key) {
-  const Json& field = payload_field(payload, key);
+int64_t int_field(const Json& field, const char* key) {
   if (!field.is_number()) {
     throw std::invalid_argument(std::string("payload field '") + key +
                                 "' must be a number");
   }
-  return field.as_int();
+  try {
+    return field.as_int();
+  } catch (const std::runtime_error&) {
+    throw std::invalid_argument(std::string("payload field '") + key +
+                                "' is out of int64 range");
+  }
+}
+
+int64_t want_int(const Json& payload, const char* key) {
+  return int_field(payload_field(payload, key), key);
 }
 
 std::string opt_string(const Json& payload, const char* key,
@@ -60,11 +68,7 @@ std::string opt_string(const Json& payload, const char* key,
 int64_t opt_int(const Json& payload, const char* key, int64_t fallback = 0) {
   auto field = payload.get(key);
   if (!field) return fallback;
-  if (!field->get().is_number()) {
-    throw std::invalid_argument(std::string("payload field '") + key +
-                                "' must be a number");
-  }
-  return field->get().as_int();
+  return int_field(field->get(), key);
 }
 
 bool opt_bool(const Json& payload, const char* key, bool fallback = false) {
@@ -844,7 +848,7 @@ void SessionManager::register_builtins() {
         if (raw.is_string()) {
           value = raw.as_string();
         } else if (raw.is_number()) {
-          value = std::to_string(raw.as_int());
+          value = std::to_string(int_field(raw, "value"));
         } else {
           throw std::invalid_argument(
               "payload field 'value' must be a string or number");

@@ -22,14 +22,6 @@ ShardedIndexWriter::ShardedIndexWriter(const std::string& path,
                                        const ShardedConvertOptions& options)
     : path_(path), options_(options) {}
 
-ShardedIndexWriter::~ShardedIndexWriter() {
-  // Abandoned conversion (exception unwound through the parser): stop the
-  // pipeline without finalizing anything. Truncated shards keep their
-  // zero footer offset, so readers reject them.
-  for (auto& queue : queues_) queue->close();
-  join_workers();
-}
-
 void ShardedIndexWriter::on_signal(size_t id, const SignalInfo& info) {
   if (id != defs_.size()) {
     throw std::runtime_error("wvx: non-contiguous signal id");
@@ -48,8 +40,8 @@ void ShardedIndexWriter::on_alias(size_t id, size_t canonical_id) {
 void ShardedIndexWriter::on_definitions_done() {
   // Scope -> shard: first-appearance order over *canonical* declarations,
   // round-robin over min(#scopes, kMaxShards) shards. Declaration order
-  // is a property of the dump, not of the pipeline, so the layout — and
-  // therefore every shard's byte content — is identical for any jobs.
+  // is a property of the dump, so the layout — and therefore every
+  // shard's byte content — is reproducible.
   std::map<std::string_view, uint32_t> scope_shard;
   std::vector<std::string_view> scopes;
   for (const auto& def : defs_) {
@@ -93,117 +85,18 @@ void ShardedIndexWriter::on_definitions_done() {
       writers_[shard]->on_alias(local, slots_[def.canonical].local);
     }
   }
-
-  const uint32_t requested =
-      options_.jobs != 0
-          ? options_.jobs
-          : std::max(1u, std::thread::hardware_concurrency());
-  jobs_ = std::min(requested, shard_count);
-  if (jobs_ <= 1) return;
-  // Worker w owns shards with shard % jobs == w: single consumer per
-  // queue, single writer per shard, so the only synchronization in the
-  // hot path is the ring's acquire/release pair.
-  queues_.reserve(jobs_);
-  workers_.reserve(jobs_);
-  for (uint32_t w = 0; w < jobs_; ++w) {
-    queues_.push_back(std::make_unique<common::SpscQueue<Change>>(4096));
-  }
-  for (uint32_t w = 0; w < jobs_; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
-  }
-}
-
-void ShardedIndexWriter::apply(Change& change) {
-  IndexWriter& writer = *writers_[change.shard];
-  if (change.has_value) {
-    writer.on_change(change.local, change.time, change.value);
-  } else {
-    writer.on_change(change.local, change.time,
-                     parse_vcd_value(change.text, change.scalar, change.width));
-  }
-}
-
-void ShardedIndexWriter::worker_loop(uint32_t worker) {
-  auto& queue = *queues_[worker];
-  Change change;
-  try {
-    while (queue.pop(change)) apply(change);
-  } catch (...) {
-    {
-      common::LockGuard lock(error_mutex_);
-      if (!worker_error_) worker_error_ = std::current_exception();
-    }
-    // Refuse further work; the producer's next push to this queue fails
-    // and surfaces the stored error instead of deadlocking on a ring that
-    // will never drain.
-    queue.close();
-  }
-}
-
-void ShardedIndexWriter::rethrow_worker_failure() {
-  for (auto& queue : queues_) queue->close();
-  join_workers();
-  {
-    common::LockGuard lock(error_mutex_);
-    if (worker_error_) std::rethrow_exception(worker_error_);
-  }
-  throw std::runtime_error("wvx: convert pipeline stopped unexpectedly");
-}
-
-void ShardedIndexWriter::join_workers() {
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-}
-
-void ShardedIndexWriter::route(Change& change) {
-  if (jobs_ <= 1) {
-    apply(change);
-    return;
-  }
-  auto& queue = *queues_[change.shard % jobs_];
-  if (!queue.push(change)) rethrow_worker_failure();
-}
-
-void ShardedIndexWriter::on_change_text(size_t id, uint64_t time,
-                                        std::string_view text, bool scalar) {
-  if (id >= slots_.size()) throw std::runtime_error("wvx: bad signal id");
-  scratch_.time = time;
-  scratch_.shard = slots_[id].shard;
-  scratch_.local = slots_[id].local;
-  scratch_.width = defs_[id].info.width;
-  scratch_.scalar = scalar;
-  scratch_.has_value = false;
-  scratch_.text.assign(text);
-  route(scratch_);
 }
 
 void ShardedIndexWriter::on_change(size_t id, uint64_t time,
                                    const common::BitVector& value) {
-  // Pre-parsed producers (the direct write path): same routing, payload
-  // already a BitVector.
   if (id >= slots_.size()) throw std::runtime_error("wvx: bad signal id");
-  scratch_.time = time;
-  scratch_.shard = slots_[id].shard;
-  scratch_.local = slots_[id].local;
-  scratch_.width = defs_[id].info.width;
-  scratch_.scalar = false;
-  scratch_.has_value = true;
-  scratch_.value = value;
-  route(scratch_);
+  const Slot slot = slots_[id];
+  writers_[slot.shard]->on_change(slot.local, time, value);
 }
 
 void ShardedIndexWriter::on_finish(uint64_t max_time) {
-  // End of stream: drain the pipeline, then finalize shards and write the
-  // manifest last — a crash mid-finalize leaves no manifest pointing at
-  // complete-looking shards.
-  for (auto& queue : queues_) queue->close();
-  join_workers();
-  {
-    common::LockGuard lock(error_mutex_);
-    if (worker_error_) std::rethrow_exception(worker_error_);
-  }
+  // Finalize shards, then write the manifest last — a crash mid-finalize
+  // leaves no manifest pointing at complete-looking shards.
   for (auto& writer : writers_) writer->on_finish(max_time);
   Manifest manifest;
   manifest.max_time = max_time;
@@ -223,8 +116,7 @@ ShardedConvertResult convert_vcd_to_sharded_index(
   }
   ShardedIndexWriter writer(index_path, options);
   VcdStreamParser::parse_file(vcd_path, writer);
-  return ShardedConvertResult{writer.signal_count(), writer.shard_count(),
-                              writer.jobs()};
+  return ShardedConvertResult{writer.signal_count(), writer.shard_count(), 1};
 }
 
 }  // namespace hgdb::waveform

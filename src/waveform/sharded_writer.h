@@ -3,25 +3,18 @@
 
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/checked_mutex.h"
-#include "common/spsc_queue.h"
 #include "waveform/index_writer.h"
 #include "waveform/manifest.h"
 #include "waveform/vcd_stream_parser.h"
 
 namespace hgdb::waveform {
 
-/// Knobs for the sharded VCD -> .wvx conversion pipeline.
+/// Knobs for the sharded VCD -> .wvx conversion.
 struct ShardedConvertOptions {
   /// Per-shard writer options (version, codec, block capacity, ...).
   IndexWriterOptions index;
-  /// Writer worker threads. 0 means hardware_concurrency; capped at the
-  /// shard count (a shard is single-writer). 1 runs fully synchronous —
-  /// no threads, no queues.
-  uint32_t jobs = 0;
   /// true: split the dump into per-scope shard files behind a manifest.
   /// false: write one single-file index (the classic layout).
   bool shard_by_scope = true;
@@ -30,7 +23,9 @@ struct ShardedConvertOptions {
 struct ShardedConvertResult {
   size_t signals = 0;
   uint32_t shards = 0;  ///< shard files written (0 for a single-file index)
-  uint32_t jobs = 1;    ///< writer workers actually used
+  /// Always 1: conversion runs on the calling thread. Kept so existing
+  /// readers of the result (benchmark reports) keep compiling.
+  uint32_t jobs = 1;
 };
 
 /// VcdEventSink that splits a dump into per-scope shard files plus a
@@ -39,25 +34,13 @@ struct ShardedConvertResult {
 /// top-level scope hashed to it (aliases always follow their canonical
 /// signal, so a change stream never spans shards).
 ///
-/// Conversion parallelism: with jobs > 1 the parser thread only
-/// tokenizes, resolves id codes and routes — the expensive work per
-/// change (digit parsing, block encoding, CRC, file writes) happens on
-/// writer workers, one bounded SPSC queue each (see common::SpscQueue for
-/// the backpressure and close protocol; worker failures surface through a
-/// PipelineMutex-guarded slot, rank kWaveformPipeline). Each worker owns
-/// the shards with index % workers == its id, so every shard stays
-/// single-writer and needs no locking of its own.
-///
-/// Output is byte-identical for every jobs value: shard assignment
-/// depends only on declaration order, each shard sees the same change
-/// subsequence in the same order through its FIFO queue, and the v4 codec
-/// auto-selection is a pure function of that stream.
+/// The writer is a plain router on the calling thread: each change goes
+/// to its shard's IndexWriter. Shard assignment depends only on
+/// declaration order, so the output bytes are a pure function of the dump.
 class ShardedIndexWriter final : public VcdEventSink {
  public:
   ShardedIndexWriter(const std::string& path,
                      const ShardedConvertOptions& options);
-  /// Joins any workers still running (abandoned conversion).
-  ~ShardedIndexWriter() override;
 
   ShardedIndexWriter(const ShardedIndexWriter&) = delete;
   ShardedIndexWriter& operator=(const ShardedIndexWriter&) = delete;
@@ -66,9 +49,6 @@ class ShardedIndexWriter final : public VcdEventSink {
   void on_signal(size_t id, const SignalInfo& info) override;
   void on_alias(size_t id, size_t canonical_id) override;
   void on_definitions_done() override;
-  [[nodiscard]] bool wants_text_changes() const override { return true; }
-  void on_change_text(size_t id, uint64_t time, std::string_view text,
-                      bool scalar) override;
   void on_change(size_t id, uint64_t time,
                  const common::BitVector& value) override;
   void on_finish(uint64_t max_time) override;
@@ -77,8 +57,6 @@ class ShardedIndexWriter final : public VcdEventSink {
   [[nodiscard]] uint32_t shard_count() const {
     return static_cast<uint32_t>(writers_.size());
   }
-  /// Workers the pipeline ran with (1 when synchronous).
-  [[nodiscard]] uint32_t jobs() const { return jobs_; }
   [[nodiscard]] bool finished() const { return finished_; }
 
   /// Scopes get shards round-robin in first-appearance order, capped so a
@@ -86,18 +64,6 @@ class ShardedIndexWriter final : public VcdEventSink {
   static constexpr uint32_t kMaxShards = 64;
 
  private:
-  /// One routed value change in flight from the parser to a worker.
-  struct Change {
-    uint64_t time = 0;
-    uint32_t shard = 0;
-    uint32_t local = 0;
-    uint32_t width = 0;
-    bool scalar = false;
-    bool has_value = false;    ///< value already parsed (on_change path)
-    std::string text;          ///< raw digits when !has_value
-    common::BitVector value;
-  };
-
   struct Def {
     SignalInfo info;
     bool is_alias = false;
@@ -110,31 +76,18 @@ class ShardedIndexWriter final : public VcdEventSink {
     uint32_t local = 0;
   };
 
-  void route(Change& change);
-  void apply(Change& change);
-  void worker_loop(uint32_t worker);
-  void join_workers();
-  [[noreturn]] void rethrow_worker_failure();
-
   std::string path_;
   ShardedConvertOptions options_;
-  uint32_t jobs_ = 1;
   std::vector<Def> defs_;
   std::vector<Slot> slots_;
   std::vector<std::string> shard_names_;  ///< manifest-relative basenames
   std::vector<std::unique_ptr<IndexWriter>> writers_;
-  std::vector<std::unique_ptr<common::SpscQueue<Change>>> queues_;
-  std::vector<std::thread> workers_;
-  /// Recycled message: pop-side std::swap donates string capacity back.
-  Change scratch_;
   bool finished_ = false;
-
-  common::PipelineMutex error_mutex_{"waveform::pipeline"};
-  std::exception_ptr worker_error_ HGDB_GUARDED_BY(error_mutex_);
 };
 
 /// Streams `vcd_path` into a sharded (or single-file) index at
-/// `index_path` using `options.jobs` writer workers.
+/// `index_path`. A parse failure propagates before the manifest is
+/// written, so a failed convert leaves no manifest behind.
 ShardedConvertResult convert_vcd_to_sharded_index(
     const std::string& vcd_path, const std::string& index_path,
     const ShardedConvertOptions& options = {});

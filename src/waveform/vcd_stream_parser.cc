@@ -55,13 +55,6 @@ uint64_t parse_u64(std::string_view text, const char* what) {
 
 }  // namespace
 
-BitVector parse_vcd_value(std::string_view text, bool scalar, uint32_t width) {
-  if (scalar) {
-    return BitVector(width, !text.empty() && bit_of(text[0]) ? 1 : 0);
-  }
-  return parse_vector_value(text, width);
-}
-
 void VcdStreamParser::malformed(const std::string& what) {
   throw std::runtime_error("vcd: " + what);
 }

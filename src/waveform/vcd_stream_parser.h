@@ -32,11 +32,10 @@ class VcdEventSink : public IndexSink {
   /// A #<time> marker (monotonically nondecreasing in well-formed dumps).
   virtual void on_time(uint64_t /*time*/) {}
 
-  /// Sinks that parse value text themselves return true; the parser then
-  /// delivers on_change_text() instead of on_change() and never builds a
-  /// BitVector. This is the convert pipeline's seam: digit parsing is the
-  /// bulk of single-thread convert time, so the sharded sink defers it to
-  /// its writer workers. Sampled once at parser construction.
+  /// Sinks that never need parsed values (a tokenize-only pass) return
+  /// true; the parser then delivers on_change_text() instead of
+  /// on_change() and never builds a BitVector. Sampled once at parser
+  /// construction.
   [[nodiscard]] virtual bool wants_text_changes() const { return false; }
   /// Raw value change for text-mode sinks: `text` is the value portion of
   /// the token (MSB-first binary digits for a vector, one value char for
@@ -45,13 +44,6 @@ class VcdEventSink : public IndexSink {
   virtual void on_change_text(size_t /*id*/, uint64_t /*time*/,
                               std::string_view /*text*/, bool /*scalar*/) {}
 };
-
-/// Parses a VCD value token body at `width`: one scalar value char, or
-/// MSB-first binary vector digits, possibly shorter than the width
-/// (X/Z/U/'-' map to 0 — the runtime is two-state). The one parsing
-/// routine behind on_change() and text-mode sinks' deferred parsing.
-[[nodiscard]] common::BitVector parse_vcd_value(std::string_view text,
-                                                bool scalar, uint32_t width);
 
 /// Incremental VCD parser: feed() accepts arbitrary chunk boundaries (mid
 /// token, mid directive) so a multi-gigabyte dump streams through a small

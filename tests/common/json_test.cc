@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 namespace hgdb::common {
 namespace {
 
@@ -113,6 +116,20 @@ TEST(Json, RoundTripLargeIntegers) {
   const int64_t big = 0x7fffffffffffffffll;
   Json value(big);
   EXPECT_EQ(Json::parse(value.dump()).as_int(), big);
+}
+
+TEST(Json, AsIntRejectsDoublesOutsideInt64) {
+  EXPECT_THROW((void)Json::parse("1e300").as_int(), std::runtime_error);
+  EXPECT_THROW((void)Json::parse("-1e300").as_int(), std::runtime_error);
+  EXPECT_THROW((void)Json(9223372036854775808.0).as_int(), std::runtime_error);
+  EXPECT_THROW((void)Json(std::nan("")).as_int(), std::runtime_error);
+  EXPECT_THROW((void)Json(HUGE_VAL).as_int(), std::runtime_error);
+  // In range: truncates toward zero, down to the exact int64 minimum.
+  EXPECT_EQ(Json::parse("-2.9").as_int(), -2);
+  EXPECT_EQ(Json(-9223372036854775808.0).as_int(), INT64_MIN);
+  // get_int goes through as_int, so it fails the same way.
+  EXPECT_THROW((void)Json::parse(R"({"n":1e300})").get_int("n"),
+               std::runtime_error);
 }
 
 TEST(Json, EqualityDeep) {

@@ -118,6 +118,9 @@ int main(int argc, char** argv) {
 
     write_file(dir + "bad_version",
                R"({"version": 1, "token": 3, "command": "info"})");
+    // A number no int64 holds: decodes to a typed error, never a cast.
+    write_file(dir + "huge_token",
+               R"({"version": 2, "token": 1e300, "command": "info"})");
     write_file(dir + "not_object", R"([1, 2, 3])");
     write_file(dir + "not_json", "hello, world");
     write_file(dir + "empty", "");

@@ -47,6 +47,24 @@ TEST(ProtocolV2, TokenSurvivesBrokenEnvelope) {
   EXPECT_EQ(decoded.request.token, 9);
 }
 
+TEST(ProtocolV2, OutOfRangeTokenIsATypedMalformedRequest) {
+  // 1e300 cannot become an int64 token; the decode reports it instead of
+  // throwing (or casting it with undefined behaviour).
+  const auto decoded =
+      parse_request_v2(R"({"version":2,"command":"info","token":1e300})");
+  EXPECT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error, ErrorCode::MalformedRequest);
+  EXPECT_NE(decoded.reason.find("token"), std::string::npos);
+  EXPECT_EQ(decoded.request.token, 0);
+
+  // Same for a broken envelope, where the token is only read best-effort,
+  // and for an absurd version number.
+  EXPECT_EQ(parse_request_v2(R"({"token":1e300})").error,
+            ErrorCode::MalformedRequest);
+  EXPECT_EQ(parse_request_v2(R"({"version":1e300,"command":"info"})").error,
+            ErrorCode::None);
+}
+
 TEST(ProtocolV2, ResponseRoundTrip) {
   ResponseV2 response;
   response.command = "evaluate";

@@ -534,6 +534,17 @@ TEST(DapFrameCodec, IgnoresExtraHeadersAndWhitespace) {
   EXPECT_EQ(*payload, "{\"a\":1}");
 }
 
+TEST(DapRequest, OutOfRangeSeqIsAMalformedMessage) {
+  const Json message = Json::parse(
+      R"({"seq":1e300,"type":"request","command":"threads","arguments":{}})");
+  try {
+    (void)dap::parse_request(message);
+    FAIL() << "parse_request accepted seq 1e300";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("dap: ", 0), 0u) << error.what();
+  }
+}
+
 TEST(DapFrameCodec, RejectsMalformedHeaders) {
   {
     dap::FrameCodec codec;

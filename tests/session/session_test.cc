@@ -318,6 +318,21 @@ TEST_F(SessionTest, MalformedInputGetsTypedErrorAndSessionSurvives) {
   message = rpc::parse_server_message_v2(*reply);
   EXPECT_EQ(message.response.error, ErrorCode::InvalidPayload);
 
+  // Numbers no int64 holds: a typed error, never an undefined cast.
+  raw->send(R"({"version":2,"command":"info","token":1e300})");
+  reply = raw->receive(std::chrono::milliseconds(2000));
+  ASSERT_TRUE(reply.has_value());
+  message = rpc::parse_server_message_v2(*reply);
+  EXPECT_EQ(message.response.error, ErrorCode::MalformedRequest);
+
+  raw->send(
+      R"({"version":2,"command":"breakpoint-add","token":5,)"
+      R"("payload":{"filename":"demo.cc","line":1e300}})");
+  reply = raw->receive(std::chrono::milliseconds(2000));
+  ASSERT_TRUE(reply.has_value());
+  message = rpc::parse_server_message_v2(*reply);
+  EXPECT_EQ(message.response.error, ErrorCode::InvalidPayload);
+
   // Still alive and well:
   raw->send(R"({"version":2,"command":"info","token":6})");
   reply = raw->receive(std::chrono::milliseconds(2000));

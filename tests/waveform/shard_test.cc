@@ -1,7 +1,7 @@
 // Sharded-index suite: per-scope shard files behind a manifest must hold
-// exactly the same per-signal content as a single-file convert, stay
-// byte-identical for every worker count, share one cache budget on the
-// read side, and reject hostile manifests with typed faults.
+// exactly the same per-signal content as a single-file convert, leave no
+// manifest when the convert fails, share one cache budget on the read
+// side, and reject hostile manifests with typed faults.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -77,7 +77,6 @@ class ShardTest : public ::testing::Test {
   void TearDown() override {
     std::remove(vcd_path_.c_str());
     for (const auto& path : produced_) std::remove(path.c_str());
-    for (const auto& dir : dirs_) ::rmdir(dir.c_str());
   }
 
   void write_vcd(const std::string& text) {
@@ -100,7 +99,6 @@ class ShardTest : public ::testing::Test {
 
   std::string stem_, vcd_path_;
   std::vector<std::string> produced_;
-  std::vector<std::string> dirs_;
 };
 
 TEST_F(ShardTest, ShardedConvertMatchesSingleFileContentExactly) {
@@ -112,7 +110,6 @@ TEST_F(ShardTest, ShardedConvertMatchesSingleFileContentExactly) {
   const auto single_path = convert("single", single);
 
   ShardedConvertOptions sharded;
-  sharded.jobs = 3;
   const auto manifest_path = convert("sharded", sharded);
 
   IndexedWaveform one(single_path);
@@ -159,37 +156,31 @@ TEST_F(ShardTest, ShardedConvertMatchesSingleFileContentExactly) {
   }
 }
 
-TEST_F(ShardTest, ShardBytesAreIdenticalForEveryJobCount) {
-  write_vcd(multi_scope_vcd(4, 150));
-  std::vector<std::vector<std::string>> images;
-  for (uint32_t jobs : {1u, 2u, 4u}) {
-    // Same base name in a per-jobs directory: the manifest embeds shard
-    // *names*, so identical names make the manifest itself comparable too.
-    const std::string dir = stem_ + ".jobs" + std::to_string(jobs);
-    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
-    const std::string manifest_path = dir + "/dump.wvx";
-    ShardedConvertOptions options;
-    options.jobs = jobs;
-    const auto result =
-        convert_vcd_to_sharded_index(vcd_path_, manifest_path, options);
-    produced_.push_back(manifest_path);
-    for (uint32_t k = 0; k < result.shards; ++k) {
-      produced_.push_back(dir + "/dump.shard" + std::to_string(k) + ".wvx");
-    }
-    dirs_.push_back(dir);
-    std::vector<std::string> files{read_file(manifest_path)};
-    IndexedWaveform reader(manifest_path);
-    for (const auto& shard : reader.shard_paths()) {
-      files.push_back(read_file(shard));
-    }
-    images.push_back(std::move(files));
+TEST_F(ShardTest, FailedConvertLeavesNoManifest) {
+  // A value change naming an id code no $var declared: the parser throws
+  // mid-stream, after every shard file was opened.
+  write_vcd(multi_scope_vcd(3, 40) + "#999\n1zz\n");
+  const std::string manifest_path = stem_ + ".failed.wvx";
+  const std::string shard0 = stem_ + ".failed.shard0.wvx";
+  produced_.push_back(manifest_path);
+  for (uint32_t k = 0; k < 3; ++k) {
+    produced_.push_back(stem_ + ".failed.shard" + std::to_string(k) + ".wvx");
   }
-  ASSERT_EQ(images[0].size(), images[1].size());
-  ASSERT_EQ(images[0].size(), images[2].size());
-  for (size_t f = 0; f < images[0].size(); ++f) {
-    EXPECT_EQ(images[0][f], images[1][f]) << "file " << f << " (jobs 1 vs 2)";
-    EXPECT_EQ(images[0][f], images[2][f]) << "file " << f << " (jobs 1 vs 4)";
+  try {
+    (void)convert_vcd_to_sharded_index(vcd_path_, manifest_path,
+                                       ShardedConvertOptions{});
+    FAIL() << "convert accepted an undeclared id code";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("vcd: unknown id code 'zz'"),
+              std::string::npos)
+        << error.what();
   }
+  struct stat info{};
+  EXPECT_NE(::stat(manifest_path.c_str(), &info), 0)
+      << "a failed convert left a manifest behind";
+  // The abandoned shards were never finalized, so readers reject them.
+  ASSERT_EQ(::stat(shard0.c_str(), &info), 0);
+  EXPECT_THROW((void)IndexedWaveform(shard0), WvxError);
 }
 
 TEST_F(ShardTest, CrossScopeAliasSharesItsCanonicalShardAndStream) {

@@ -33,8 +33,14 @@ Rules 1-5 are enforced over src/, rule 6 over the README:
      whose scenario is `hot` or `quiet`) must lie within 30% of that
      scenario's `condition_eval.<scenario>.speedup` in
      bench/baselines/BENCH_fig5.json, and both scenarios must carry one.
-     A performance claim in the README traces to a committed baseline,
-     not to a machine nobody can rerun.
+     Likewise for bench/baselines/BENCH_waveform.json: every "~Nx
+     smaller than `delta`" RLE claim must lie within 30% of
+     `gates.rle_clock_compression` (and one must exist), and the gated
+     ratios the waveform "Benchmark" paragraph lists after "gated
+     ratio:" must be exactly the keys of the baseline's `gates`. A
+     performance claim in the README traces to a committed baseline,
+     not to a machine nobody can rerun, and a retracted gate is not
+     advertised.
 
 Exit status 0 when clean; 1 with one `file:line: message` per violation
 otherwise. Run from the repo root: `python3 tools/lint.py`.
@@ -68,6 +74,14 @@ FIG5_MAX_DRIFT = 0.30
 FIG5_ROW_RE = re.compile(
     r"^\|\s*(hot|quiet)\b[^|]*\|.*\*\*~([0-9]+(?:\.[0-9]+)?)x\*\*"
 )
+
+# Rule 6, waveform half: README claims against BENCH_waveform.json.
+WAVEFORM_BASELINE = REPO_ROOT / "bench" / "baselines" / "BENCH_waveform.json"
+RLE_CLAIM_RE = re.compile(r"~([0-9]+(?:\.[0-9]+)?)x smaller than `delta`")
+# The waveform "Benchmark" paragraph opens with the bench binary and lists
+# its gates as backticked names after "gated ratio:", up to the full stop.
+WAVEFORM_BENCH_PARAGRAPH = "`build/bench/waveform_index`"
+GATED_LIST_RE = re.compile(r"gated ratio:\s*((?:`\w+`[\s,]*)+)\.")
 
 RAW_MUTEX_RE = re.compile(
     r"std::(?:mutex|recursive_mutex|timed_mutex|shared_mutex|"
@@ -200,6 +214,54 @@ def check_fig5_speedups() -> list[str]:
     return violations
 
 
+def check_waveform_claims() -> list[str]:
+    """Rule 6, waveform half: the README's RLE compression claim and its
+    list of gated ratios trace to bench/baselines/BENCH_waveform.json."""
+    gates = json.loads(WAVEFORM_BASELINE.read_text(encoding="utf-8"))["gates"]
+    measured = gates["rle_clock_compression"]
+    violations: list[str] = []
+    lines = README.read_text(encoding="utf-8").splitlines()
+    claims = 0
+    for line_no, line in enumerate(lines, start=1):
+        for match in RLE_CLAIM_RE.finditer(line):
+            claims += 1
+            claimed = float(match.group(1))
+            if abs(claimed - measured) > FIG5_MAX_DRIFT * measured:
+                violations.append(
+                    f"README.md:{line_no}: RLE claim ~{claimed:g}x smaller"
+                    f" than delta is more than {FIG5_MAX_DRIFT:.0%} away"
+                    f" from gates.rle_clock_compression {measured:g}x in"
+                    " bench/baselines/BENCH_waveform.json"
+                )
+    if claims == 0:
+        violations.append(
+            "README.md: no \"~Nx smaller than `delta`\" RLE claim to check"
+            " against gates.rle_clock_compression"
+        )
+
+    start = next((i for i, line in enumerate(lines)
+                  if line.startswith(WAVEFORM_BENCH_PARAGRAPH)), None)
+    if start is None:
+        violations.append(
+            f"README.md: no paragraph starting with"
+            f" {WAVEFORM_BENCH_PARAGRAPH} (waveform Benchmark section)"
+        )
+        return violations
+    end = start
+    while end < len(lines) and lines[end].strip():
+        end += 1
+    paragraph = " ".join(lines[start:end])
+    match = GATED_LIST_RE.search(paragraph)
+    listed = set(re.findall(r"`(\w+)`", match.group(1))) if match else set()
+    if listed != set(gates):
+        violations.append(
+            f"README.md:{start + 1}: waveform Benchmark paragraph lists"
+            f" gated ratios {sorted(listed)}, but"
+            f" bench/baselines/BENCH_waveform.json gates {sorted(gates)}"
+        )
+    return violations
+
+
 def main() -> int:
     files = sorted(
         p for p in SRC.rglob("*")
@@ -210,6 +272,7 @@ def main() -> int:
         all_violations.extend(check_file(path))
     all_violations.extend(check_metric_literals(files))
     all_violations.extend(check_fig5_speedups())
+    all_violations.extend(check_waveform_claims())
     for violation in all_violations:
         print(violation)
     if all_violations:
