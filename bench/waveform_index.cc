@@ -1,7 +1,7 @@
 // EXP-W — Waveform storage engine: in-memory trace vs. the indexed store,
-// format v2 vs. v3, buffered vs. mmap reads (the scaling steps the replay
-// path needs for production-size dumps; cf. Goeders & Wilton's trace-based
-// HLS debugging, where the waveform store is the bottleneck).
+// format v2 vs. v3 vs. v4 (the scaling steps the replay path needs for
+// production-size dumps; cf. Goeders & Wilton's trace-based HLS
+// debugging, where the waveform store is the bottleneck).
 //
 // The harness synthesizes a multi-scope VCD of configurable size (with
 // id-code aliases, like real dumps), then compares:
@@ -10,15 +10,16 @@
 //   indexed v3    varint/delta codec + alias dedup
 //   indexed v4    per-signal codec (RLE auto-selected for clock-likes)
 //   sharded v4    per-scope shard files behind a manifest
-//   buffered/mmap the two StorageBackends answering identical random seeks
+//
+// Every store answers the same random cycle seeks and must agree with
+// the in-memory trace.
 //
 // Expected shape: indexed open time orders of magnitude below the full
 // parse; the v3 file >= 30% smaller than v2 on the same dump; the RLE
-// stream for the clock >= 5x smaller than v3's delta stream; mmap-backed
-// random block reads no slower than buffered; peak resident blocks never
-// above the LRU capacity. Exit is nonzero on any parity mismatch, LRU
-// bound violation, or failed absolute gate, so the bench doubles as a
-// stress check.
+// stream for the clock >= 5x smaller than v3's delta stream; peak
+// resident blocks never above the LRU capacity. Exit is nonzero on any
+// parity mismatch, LRU bound violation, or failed absolute gate, so the
+// bench doubles as a stress check.
 //
 // Output: one JSON object on stdout (and to $HGDB_BENCH_JSON when set).
 // The "gates" object carries the ratios tools/check_bench_regression.py
@@ -222,28 +223,15 @@ int main() {
   constexpr int kOpenReps = 16;
   t0 = Clock::now();
   for (int i = 0; i < kOpenReps - 1; ++i) {
-    waveform::IndexedWaveform reopen(
-        v3_path, waveform::WaveformOpenOptions{cache_blocks,
-                                               waveform::IoMode::kBuffered});
+    waveform::IndexedWaveform reopen(v3_path, cache_blocks);
     (void)reopen.signal_count();
   }
-  waveform::IndexedWaveform buffered(
-      v3_path, waveform::WaveformOpenOptions{cache_blocks,
-                                             waveform::IoMode::kBuffered});
+  waveform::IndexedWaveform v3_indexed(v3_path, cache_blocks);
   const double open_ms = ms_since(t0) / kOpenReps;
-  waveform::IndexedWaveform mapped(
-      v3_path,
-      waveform::WaveformOpenOptions{cache_blocks, waveform::IoMode::kMmap});
-  waveform::IndexedWaveform v2_indexed(
-      v2_path, waveform::WaveformOpenOptions{cache_blocks,
-                                             waveform::IoMode::kBuffered});
-  waveform::IndexedWaveform v4_indexed(
-      v4_path, waveform::WaveformOpenOptions{cache_blocks,
-                                             waveform::IoMode::kBuffered});
+  waveform::IndexedWaveform v2_indexed(v2_path, cache_blocks);
+  waveform::IndexedWaveform v4_indexed(v4_path, cache_blocks);
   // The manifest; one shared cache budget across every shard.
-  waveform::IndexedWaveform sharded(
-      sharded_path,
-      waveform::WaveformOpenOptions{cache_blocks, waveform::IoMode::kBuffered});
+  waveform::IndexedWaveform sharded(sharded_path, cache_blocks);
   // Sharded global signal order differs from declaration order; map
   // through hierarchical names once.
   std::vector<size_t> sharded_index(trace.signal_count());
@@ -265,12 +253,12 @@ int main() {
     for (const auto& block : blocks) sum += block.payload_bytes;
     return sum;
   };
-  const uint64_t clock_delta_bytes = payload_sum(buffered.blocks(0));
+  const uint64_t clock_delta_bytes = payload_sum(v3_indexed.blocks(0));
   const uint64_t clock_rle_bytes = payload_sum(v4_indexed.blocks(0));
   const bool clock_is_rle =
       std::string_view(v4_indexed.signal_codec_name(0)) == "rle";
 
-  // -- random cycle seeks, answered by every backend -----------------------------
+  // -- random cycle seeks, answered by every store ----------------------------
   Rng rng{0xdeadbeefcafef00dull};
   std::vector<std::pair<size_t, uint64_t>> queries;
   queries.reserve(seeks);
@@ -282,38 +270,30 @@ int main() {
     queries.emplace_back(signal, time);
   }
 
-  uint64_t checksum_memory = 0, checksum_buffered = 0, checksum_mapped = 0,
-           checksum_v2 = 0;
+  uint64_t checksum_memory = 0, checksum_v3 = 0, checksum_v2 = 0;
   const double memory_seek_ms = run_seeks(trace, queries, &checksum_memory);
-  // Warm both indexed stores identically, then time steady-state seeks:
-  // the mmap-vs-buffered comparison is about the cold-block read path
+  // Warm once, then time steady-state seeks: the cold-block read path
   // under LRU churn, not first-touch page faults.
-  (void)run_seeks(buffered, queries, &checksum_buffered);
-  (void)run_seeks(mapped, queries, &checksum_mapped);
-  const double buffered_seek_ms = run_seeks(buffered, queries, &checksum_buffered);
-  const double mmap_seek_ms = run_seeks(mapped, queries, &checksum_mapped);
+  (void)run_seeks(v3_indexed, queries, &checksum_v3);
+  const double v3_seek_ms = run_seeks(v3_indexed, queries, &checksum_v3);
   const double v2_seek_ms = run_seeks(v2_indexed, queries, &checksum_v2);
 
   uint64_t mismatches = 0;
   for (const auto& [signal, time] : queries) {
     const auto expected = trace.value_at(signal, time);
-    if (expected != buffered.value_at(signal, time) ||
-        expected != mapped.value_at(signal, time) ||
+    if (expected != v3_indexed.value_at(signal, time) ||
         expected != v2_indexed.value_at(signal, time) ||
         expected != v4_indexed.value_at(signal, time) ||
         expected != sharded.value_at(sharded_index[signal], time)) {
       ++mismatches;
     }
   }
-  if (checksum_buffered != checksum_mapped || checksum_buffered != checksum_v2 ||
-      checksum_buffered != checksum_memory) {
+  if (checksum_v3 != checksum_v2 || checksum_v3 != checksum_memory) {
     ++mismatches;
   }
 
-  const auto stats = buffered.cache_stats();
-  const bool lru_bounded =
-      stats.peak_resident <= buffered.cache_capacity() &&
-      mapped.cache_stats().peak_resident <= mapped.cache_capacity();
+  const auto stats = v3_indexed.cache_stats();
+  const bool lru_bounded = stats.peak_resident <= v3_indexed.cache_capacity();
   // Residency proxy for the indexed store: peak cached blocks, each at most
   // block_capacity entries of (8 time bytes + value payload + BitVector
   // overhead of one 64-bit word per started 64 bits).
@@ -324,8 +304,6 @@ int main() {
       v2_bytes > 0 ? 1.0 - static_cast<double>(v3_bytes) /
                                static_cast<double>(v2_bytes)
                    : 0.0;
-  const double mmap_vs_buffered =
-      mmap_seek_ms > 0 ? buffered_seek_ms / mmap_seek_ms : 0.0;
   const double open_vs_parse = open_ms > 0 ? parse_ms / open_ms : 0.0;
   const double rle_clock_compression =
       clock_rle_bytes > 0 ? static_cast<double>(clock_delta_bytes) /
@@ -358,8 +336,7 @@ int main() {
       ", \"bytes_per_change\": %.2f, \"seek_us_avg\": %.3f},\n"
       "  \"indexed_v3\": {\"convert_ms\": %.2f, \"file_bytes\": %" PRIu64
       ", \"bytes_per_change\": %.2f, \"open_ms\": %.2f,\n"
-      "    \"buffered_seek_us_avg\": %.3f, \"mmap_seek_us_avg\": %.3f, "
-      "\"resident_bytes_proxy\": %" PRIu64 ",\n"
+      "    \"seek_us_avg\": %.3f, \"resident_bytes_proxy\": %" PRIu64 ",\n"
       "    \"total_blocks\": %" PRIu64 ", \"aliases_deduped\": %zu, "
       "\"cache\": {\"hits\": %" PRIu64 ", \"misses\": %" PRIu64
       ", \"evictions\": %" PRIu64 ", \"peak_resident\": %zu, \"capacity\": %zu}},\n"
@@ -369,8 +346,7 @@ int main() {
       ", \"clock_rle_payload_bytes\": %" PRIu64 "},\n"
       "  \"sharded\": {\"shards\": %u, \"convert_ms\": %.2f},\n"
       "  \"gates\": {\"open_vs_parse_speedup\": %.1f, "
-      "\"v3_size_savings\": %.3f, \"mmap_vs_buffered_seek\": %.2f, "
-      "\"rle_clock_compression\": %.1f},\n"
+      "\"v3_size_savings\": %.3f, \"rle_clock_compression\": %.1f},\n"
       "  \"parity_mismatches\": %" PRIu64 ",\n"
       "  \"lru_bounded\": %s\n"
       "}\n",
@@ -381,15 +357,14 @@ int main() {
       v2_bytes, static_cast<double>(v2_bytes) / static_cast<double>(total_changes),
       v2_seek_ms * 1000.0 / static_cast<double>(seeks), convert_v3_ms,
       v3_bytes, static_cast<double>(v3_bytes) / static_cast<double>(total_changes),
-      open_ms, buffered_seek_ms * 1000.0 / static_cast<double>(seeks),
-      mmap_seek_ms * 1000.0 / static_cast<double>(seeks), indexed_resident,
-      buffered.total_blocks(), buffered.alias_count(), stats.hits,
-      stats.misses, stats.evictions, stats.peak_resident,
-      buffered.cache_capacity(), convert_v4_ms, v4_bytes,
+      open_ms, v3_seek_ms * 1000.0 / static_cast<double>(seeks),
+      indexed_resident, v3_indexed.total_blocks(), v3_indexed.alias_count(),
+      stats.hits, stats.misses, stats.evictions, stats.peak_resident,
+      v3_indexed.cache_capacity(), convert_v4_ms, v4_bytes,
       static_cast<double>(v4_bytes) / static_cast<double>(total_changes),
       v4_indexed.signal_codec_name(0), clock_delta_bytes, clock_rle_bytes,
       shard_count, sharded_convert_ms, open_vs_parse, v3_size_savings,
-      mmap_vs_buffered, rle_clock_compression, mismatches,
+      rle_clock_compression, mismatches,
       lru_bounded ? "true" : "false");
 
   std::fputs(json, stdout);

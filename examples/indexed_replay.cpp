@@ -44,10 +44,10 @@ int main() {
 
   // -- 2. Attach hgdb to the index through a small LRU cache (8 blocks).
   auto source = std::make_shared<waveform::IndexedWaveform>(
-      wvx_path, waveform::WaveformOpenOptions{/*cache_blocks=*/8});
+      wvx_path, /*cache_blocks=*/8);
   std::cout << "index: format v" << source->version() << " ("
-            << source->codec_name() << " codec, " << source->io_kind()
-            << " reads), " << source->signal_count() << " signals, "
+            << source->codec_name() << " codec), " << source->signal_count()
+            << " signals, "
             << source->total_blocks() << " blocks on disk, cache capacity "
             << source->cache_capacity() << " blocks\n";
 

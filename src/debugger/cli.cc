@@ -5,8 +5,8 @@
 // live simulator process.
 //
 // Usage: hgdb-cli <workload> [--optimized] [--cycles N]
-//                 [--replay vcd|wvx|<dump-path>] [--io auto|mmap|buffered]
-//                 [--dap [port]]
+//                 [--replay vcd|wvx|<dump-path>] [--dap [port]]
+//                 [--binary-events]
 //        hgdb-cli wvx-verify <file.wvx>
 //        hgdb-cli wvx-convert <in.vcd> <out.wvx> [--v2] [--v3]
 //                 [--fixed-codec] [--no-dedup] [--no-checksums]
@@ -39,10 +39,11 @@
 // "vcd" debugs the dump through the in-memory trace::VcdTrace; "wvx"
 // dumps the waveform index *directly* from the simulator (no VCD text
 // round-trip) and debugs through waveform::IndexedWaveform with
-// LRU-bounded residency; --io picks its storage backend (default: mmap
-// where available). An existing .vcd/.wvx path (single-file or shard
-// manifest — they are opened the same way) skips the simulation and
-// replays that dump directly.
+// LRU-bounded residency, reading blocks with pread. An existing .vcd/.wvx
+// path (single-file or shard manifest — they are opened the same way)
+// skips the simulation and replays that dump directly.
+//
+// An unknown flag or a second workload name is rejected (exit 2).
 #include <unistd.h>
 
 #include <atomic>
@@ -454,8 +455,8 @@ void maybe_serve_dap(runtime::Runtime& runtime,
 /// existing dump path (.vcd, .wvx single file or .wvx shard manifest)
 /// skips the simulation and replays that dump as-is.
 int run_replay_cli(const std::string& name, bool debug_mode, uint64_t cycles,
-                   const std::string& format, waveform::IoMode io_mode,
-                   std::optional<uint16_t> dap_port, bool binary_events) {
+                   const std::string& format, std::optional<uint16_t> dap_port,
+                   bool binary_events) {
   auto compiled = compile_workload(name, debug_mode);
 
   const bool existing_dump = format != "vcd" && format != "wvx";
@@ -479,9 +480,7 @@ int run_replay_cli(const std::string& name, bool debug_mode, uint64_t cycles,
 
   std::shared_ptr<waveform::WaveformSource> source;
   if (wvx) {
-    auto indexed = std::make_shared<waveform::IndexedWaveform>(
-        dump_path,
-        waveform::WaveformOpenOptions{waveform::kDefaultCacheBlocks, io_mode});
+    auto indexed = std::make_shared<waveform::IndexedWaveform>(dump_path);
     std::cout << (existing_dump ? "opened" : "dumped") << " "
               << indexed->signal_count() << " signals into "
               << indexed->total_blocks() << " blocks (" << dump_path
@@ -490,7 +489,7 @@ int run_replay_cli(const std::string& name, bool debug_mode, uint64_t cycles,
     if (indexed->sharded()) {
       std::cout << ", " << indexed->shard_count() << " shards";
     }
-    std::cout << "); " << indexed->io_kind() << " reads, cache capacity "
+    std::cout << "); cache capacity "
               << indexed->cache_capacity() << " blocks\n";
     source = std::move(indexed);
   } else {
@@ -667,12 +666,11 @@ int main(int argc, char** argv) {
     }
   }
   std::string name = "vvadd";
+  bool name_set = false;
   bool debug_mode = true;
   std::optional<uint64_t> cycles;
   std::optional<uint16_t> dap_port;
-  std::string replay_format;  // "", "vcd", or "wvx"
-  waveform::IoMode io_mode = waveform::IoMode::kAuto;
-  bool io_mode_set = false;
+  std::string replay_format;  // "", "vcd", "wvx", or a dump path
   bool binary_events = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -680,19 +678,6 @@ int main(int argc, char** argv) {
       debug_mode = false;
     } else if (arg == "--cycles" && i + 1 < argc) {
       cycles = std::stoull(argv[++i]);
-    } else if (arg == "--io" && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      io_mode_set = true;
-      if (mode == "auto") {
-        io_mode = waveform::IoMode::kAuto;
-      } else if (mode == "mmap") {
-        io_mode = waveform::IoMode::kMmap;
-      } else if (mode == "buffered") {
-        io_mode = waveform::IoMode::kBuffered;
-      } else {
-        std::cerr << "fatal: --io expects auto, mmap or buffered\n";
-        return 1;
-      }
     } else if (arg == "--dap") {
       // Optional port operand; omitted or 0 = ephemeral.
       dap_port = 0;
@@ -720,24 +705,26 @@ int main(int argc, char** argv) {
                      ".vcd/.wvx dump path\n";
         return 1;
       }
+    } else if (arg.rfind('-', 0) == 0) {
+      const bool missing_value = arg == "--cycles" || arg == "--replay";
+      std::cerr << "fatal: "
+                << (missing_value ? "missing value for" : "unknown")
+                << " flag '" << arg << "'\n";
+      return 2;
+    } else if (name_set) {
+      std::cerr << "fatal: more than one workload ('" << name << "', '"
+                << arg << "')\n";
+      return 2;
     } else {
       name = arg;
+      name_set = true;
     }
-  }
-  // --io picks the IndexedWaveform storage backend; only the indexed
-  // replay mode opens one, so anywhere else the flag would be a silent
-  // no-op the user believes took effect.
-  const bool replay_wvx =
-      replay_format == "wvx" || waveform::is_wvx_path(replay_format);
-  if (io_mode_set && !replay_wvx) {
-    std::cerr << "fatal: --io only applies to --replay wvx\n";
-    return 1;
   }
   try {
     if (!replay_format.empty()) {
       // Replay dumps the whole run up front, so default to a modest trace.
       return run_replay_cli(name, debug_mode, cycles.value_or(4096),
-                            replay_format, io_mode, dap_port, binary_events);
+                            replay_format, dap_port, binary_events);
     }
     return run_cli(name, debug_mode, cycles.value_or(uint64_t{1} << 20),
                    dap_port, binary_events);

@@ -94,11 +94,9 @@ VcdTrace parse_vcd_file(const std::string& path) {
 }
 
 std::shared_ptr<waveform::WaveformSource> open_waveform(const std::string& path,
-                                                        size_t cache_blocks,
-                                                        waveform::IoMode io_mode) {
+                                                        size_t cache_blocks) {
   if (waveform::is_wvx_path(path)) {
-    return std::make_shared<waveform::IndexedWaveform>(
-        path, waveform::WaveformOpenOptions{cache_blocks, io_mode});
+    return std::make_shared<waveform::IndexedWaveform>(path, cache_blocks);
   }
   return std::make_shared<VcdTrace>(parse_vcd_file(path));
 }

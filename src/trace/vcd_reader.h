@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/bitvector.h"
-#include "waveform/storage_backend.h"
 #include "waveform/waveform_source.h"
 
 namespace hgdb::trace {
@@ -89,12 +88,11 @@ VcdTrace parse_vcd(std::string_view text);
 VcdTrace parse_vcd_file(const std::string& path);
 
 /// Opens a waveform by file type: ".wvx" -> waveform::IndexedWaveform
-/// (on-disk index, LRU-bounded residency; `io_mode` picks the storage
-/// backend), anything else -> in-memory VcdTrace parse.
+/// (on-disk index, LRU-bounded residency), anything else -> in-memory
+/// VcdTrace parse.
 std::shared_ptr<waveform::WaveformSource> open_waveform(
     const std::string& path,
-    size_t cache_blocks = waveform::kDefaultCacheBlocks,
-    waveform::IoMode io_mode = waveform::IoMode::kAuto);
+    size_t cache_blocks = waveform::kDefaultCacheBlocks);
 
 }  // namespace hgdb::trace
 

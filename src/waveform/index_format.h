@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "waveform/storage_backend.h"
 #include "waveform/waveform_source.h"
 
 namespace hgdb::waveform {
@@ -64,11 +63,10 @@ namespace hgdb::waveform {
 ///
 /// The footer is small (O(signals + blocks)) and is the only part an
 /// IndexedWaveform keeps resident; block payloads load on demand through
-/// the LRU cache, served by a pluggable StorageBackend (buffered pread or
-/// an mmap view). The directory per signal is sorted by start_time, so a
-/// cycle seek is a binary search over the directory followed by a binary
-/// search inside one decoded block: O(log blocks + log block_capacity),
-/// no full-trace parse.
+/// the LRU cache, read with pread through a StorageBackend. The directory
+/// per signal is sorted by start_time, so a cycle seek is a binary search
+/// over the directory followed by a binary search inside one decoded
+/// block: O(log blocks + log block_capacity), no full-trace parse.
 ///
 /// With kWvxFlagBlockChecksums set, every directory entry carries the
 /// CRC-32 (IEEE) of its raw on-disk payload; readers verify it when the
@@ -179,10 +177,6 @@ struct IndexWriterOptions {
   /// the change stream, so identical input yields identical bytes
   /// regardless of how the conversion is parallelized.
   bool auto_codec = true;
-  /// Write strategy (see WriteBackend): kAuto maps the output read-write
-  /// where the platform allows — appends become memcpys and the header
-  /// back-patch never seeks — and falls back to positional writes.
-  IoMode io_mode = IoMode::kAuto;
 };
 
 }  // namespace hgdb::waveform

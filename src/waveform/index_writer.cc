@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/crc32.h"
-#include "waveform/storage_backend.h"
 
 namespace hgdb::waveform {
 
@@ -64,10 +63,9 @@ IndexWriter::IndexWriter(const std::string& path, IndexWriterOptions options)
   // Per-signal codec bytes exist only in v4 footers.
   if (options_.version < 4) options_.auto_codec = false;
   codec_ = options_.delta_codec ? &delta_codec() : &fixed_codec();
-  // open_write_storage throws WvxError; keep the historical error type
-  // for callers that catch runtime_error on open failures (WvxError
-  // derives from it).
-  out_ = open_write_storage(path, options_.io_mode);
+  // Throws WvxError, which callers catching runtime_error on open
+  // failures still see (WvxError derives from it).
+  out_ = std::make_unique<WriteBackend>(path);
   uint32_t flags = 0;
   if (options_.block_checksums) flags |= kWvxFlagBlockChecksums;
   if (options_.delta_codec) flags |= kWvxFlagDeltaCodec;

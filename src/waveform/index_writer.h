@@ -7,6 +7,7 @@
 
 #include "waveform/block_codec.h"
 #include "waveform/index_format.h"
+#include "waveform/storage_backend.h"
 #include "waveform/vcd_stream_parser.h"
 
 namespace hgdb::waveform {
@@ -56,7 +57,7 @@ class IndexWriter final : public VcdEventSink {
   std::string path_;
   IndexWriterOptions options_;
   const BlockCodec* codec_;
-  /// I/O strategy behind the block/directory writes (options_.io_mode).
+  /// Mapped output file behind the block/directory writes.
   std::unique_ptr<WriteBackend> out_;
   std::string buffer_;  ///< scratch for block serialization + checksum
   std::vector<IndexedSignal> signals_;

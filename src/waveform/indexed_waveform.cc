@@ -87,12 +87,8 @@ std::string dir_of(const std::string& path) {
 }  // namespace
 
 IndexedWaveform::IndexedWaveform(const std::string& path, size_t cache_blocks)
-    : IndexedWaveform(path, WaveformOpenOptions{cache_blocks, IoMode::kAuto}) {}
-
-IndexedWaveform::IndexedWaveform(const std::string& path,
-                                 const WaveformOpenOptions& options)
     : path_(path),
-      cache_(options.cache_blocks),
+      cache_(cache_blocks),
       obs_(std::make_unique<ObsMetrics>()) {
   auto& registry = obs::MetricsRegistry::global();
   obs_->hits = &registry.counter("waveform.block_cache.hits");
@@ -105,30 +101,26 @@ IndexedWaveform::IndexedWaveform(const std::string& path,
   // members it touches are annotated for the concurrent query path — hold
   // the (uncontended) lock so the analysis covers open-time parsing too.
   common::LockGuard lock(mutex_);
-  auto primary = open_storage(path, options.io_mode);
+  auto primary = std::make_unique<StorageBackend>(path);
   const uint64_t primary_size = primary->size();
-  std::string sniff_scratch;
-  const char* head = primary_size >= 4
-                         ? primary->view(0, 4, sniff_scratch)
-                         : nullptr;
-  if (head != nullptr && is_manifest_bytes(head, 4)) {
+  std::string sniff;
+  if (primary_size >= 4) primary->read(0, 4, sniff);
+  if (is_manifest_bytes(sniff.data(), sniff.size())) {
     // Sharded dump: `path` is the manifest; every signal lives in one of
     // the shard files it names. Shards share this instance's BlockCache,
-    // so options.cache_blocks bounds residency for the whole dump.
+    // so cache_blocks bounds residency for the whole dump.
     sharded_ = true;
     if (primary_size > kMaxManifestBytes) {
       corrupt(path_, "manifest larger than any well-formed manifest");
     }
-    const char* image = primary->view(
-        0, static_cast<size_t>(primary_size), sniff_scratch);
-    const Manifest manifest =
-        parse_manifest(image, static_cast<size_t>(primary_size));
+    primary->read(0, static_cast<size_t>(primary_size), sniff);
+    const Manifest manifest = parse_manifest(sniff.data(), sniff.size());
     primary.reset();  // the manifest file itself holds no block data
     const std::string dir = dir_of(path);
     shards_.reserve(manifest.shards.size());
     for (const auto& name : manifest.shards) {
       const std::string shard_path = dir + name;
-      shards_.push_back(open_storage(shard_path, options.io_mode));
+      shards_.push_back(std::make_unique<StorageBackend>(shard_path));
       shard_paths_.push_back(shard_path);
     }
     for (uint32_t k = 0; k < shards_.size(); ++k) load_shard(k);
@@ -141,7 +133,6 @@ IndexedWaveform::IndexedWaveform(const std::string& path,
     shard_paths_.push_back(path);
     load_shard(0);
   }
-  io_kind_ = shards_.front()->kind();
 }
 
 IndexedWaveform::~IndexedWaveform() {
@@ -152,7 +143,7 @@ IndexedWaveform::~IndexedWaveform() {
 }
 
 void IndexedWaveform::load_shard(uint32_t shard_index) {
-  StorageBackend& storage = *shards_[shard_index];
+  const StorageBackend& storage = *shards_[shard_index];
   const std::string& path = shard_paths_[shard_index];
   const size_t base = signals_.size();
   const uint64_t file_size = storage.size();
@@ -164,9 +155,9 @@ void IndexedWaveform::load_shard(uint32_t shard_index) {
   std::string scratch;
   uint32_t version = 0;
   {
-    const auto* head = reinterpret_cast<const uint8_t*>(
-        storage.view(0, kWvxHeaderSizeV1, scratch));
-    MemReader reader(head, kWvxHeaderSizeV1, path);
+    storage.read(0, kWvxHeaderSizeV1, scratch);
+    MemReader reader(reinterpret_cast<const uint8_t*>(scratch.data()),
+                     kWvxHeaderSizeV1, path);
     if (reader.u32() != kWvxMagic) {
       throw WvxError(WvxFault::kBadMagic,
                      "wvx: '" + path + "' is not a waveform index (bad magic)");
@@ -187,9 +178,9 @@ void IndexedWaveform::load_shard(uint32_t shard_index) {
     throw WvxError(WvxFault::kTruncatedDirectory,
                    "wvx: '" + path + "' ends inside the header");
   }
-  const auto* head = reinterpret_cast<const uint8_t*>(
-      storage.view(8, header_size - 8, scratch));
-  MemReader reader(head, header_size - 8, path);
+  storage.read(8, header_size - 8, scratch);
+  MemReader reader(reinterpret_cast<const uint8_t*>(scratch.data()),
+                   header_size - 8, path);
   const uint32_t flags = version >= 2 ? reader.u32() : 0;
   const bool checksums = (flags & kWvxFlagBlockChecksums) != 0;
   shard_checksums_.push_back(checksums);
@@ -220,10 +211,10 @@ void IndexedWaveform::load_shard(uint32_t shard_index) {
   }
   const uint64_t max_shard_blocks = footer_size / 28;
   uint64_t shard_blocks = 0;
-  std::string footer_scratch;
-  const auto* footer = reinterpret_cast<const uint8_t*>(storage.view(
-      footer_offset, static_cast<size_t>(footer_size), footer_scratch));
-  MemReader dir(footer, static_cast<size_t>(footer_size), path);
+  std::string footer;
+  storage.read(footer_offset, static_cast<size_t>(footer_size), footer);
+  MemReader dir(reinterpret_cast<const uint8_t*>(footer.data()),
+                footer.size(), path);
   signals_.reserve(base + signal_count);
   for (uint64_t i = 0; i < signal_count; ++i) {
     IndexedSignal signal;
@@ -327,13 +318,14 @@ BlockCache::BlockPtr IndexedWaveform::load_block(size_t signal_index,
 
   const auto& signal = signals_[signal_index];
   const auto& info = signal.blocks[block_index];
-  StorageBackend& storage = *shards_[signal.shard];
+  const StorageBackend& storage = *shards_[signal.shard];
   const std::string& shard_path = shard_paths_[signal.shard];
   const char* payload;
   {
     HGDB_TRACE_SPAN_VAR(read_span, "wvx", "block_read");
     read_span.set_arg(info.payload_bytes);
-    payload = storage.view(info.file_offset, info.payload_bytes, scratch_);
+    storage.read(info.file_offset, info.payload_bytes, scratch_);
+    payload = scratch_.data();
     // Integrity gate: verified once per load; cache hits skip it.
     if (shard_checksums_[signal.shard]) {
       const uint32_t actual = common::crc32(payload, info.payload_bytes);

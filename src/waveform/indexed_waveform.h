@@ -17,22 +17,13 @@
 
 namespace hgdb::waveform {
 
-/// Reader-side knobs: cache size and I/O strategy.
-struct WaveformOpenOptions {
-  size_t cache_blocks = kDefaultCacheBlocks;
-  /// kAuto maps the file when the platform supports it (hot blocks skip
-  /// the read syscall; the OS page cache evicts cold ones) and falls back
-  /// to buffered positional reads otherwise.
-  IoMode io_mode = IoMode::kAuto;
-};
-
 /// WaveformSource over a .wvx index (v1-v4). `path` may name either a
 /// single-file index or a v4 shard manifest — the constructor sniffs the
 /// magic, so callers never distinguish the two. Opening reads only the
 /// header and the footer of every file involved (signal table + block
 /// directory); change payloads stream in on demand through an LRU block
-/// cache, fetched by a pluggable StorageBackend per shard and decoded by
-/// each signal's BlockCodec. A cycle seek is O(log blocks + log
+/// cache, read with pread through one StorageBackend per shard and
+/// decoded by each signal's BlockCodec. A cycle seek is O(log blocks + log
 /// block_capacity).
 ///
 /// Sharded opens keep ONE BlockCache for the whole dump: `cache_blocks`
@@ -56,7 +47,6 @@ class IndexedWaveform final : public WaveformSource {
   /// magic/version, a truncated (unfinished) index, or corrupt metadata.
   explicit IndexedWaveform(const std::string& path,
                            size_t cache_blocks = kDefaultCacheBlocks);
-  IndexedWaveform(const std::string& path, const WaveformOpenOptions& options);
   ~IndexedWaveform() override;
 
   // -- WaveformSource -----------------------------------------------------------
@@ -94,8 +84,6 @@ class IndexedWaveform final : public WaveformSource {
   [[nodiscard]] const char* signal_codec_name(size_t index) const {
     return signals_[signals_[index].canonical].codec->name();
   }
-  /// I/O strategy actually in use ("buffered" / "mmap").
-  [[nodiscard]] const char* io_kind() const { return io_kind_; }
   /// Signals that are aliases of another signal's change stream.
   [[nodiscard]] size_t alias_count() const { return alias_count_; }
   /// True when every opened file carries per-block CRC32s (v2+ flag).
@@ -157,14 +145,13 @@ class IndexedWaveform final : public WaveformSource {
   bool has_checksums_ = true;
   bool sharded_ = false;
   const BlockCodec* codec_ = nullptr;
-  const char* io_kind_ = "buffered";
 
   mutable common::WaveformMutex mutex_{"waveform::reader"};
   /// One StorageBackend per shard file (exactly one for single-file
   /// opens), indexed by IndexedSignal::shard.
-  mutable std::vector<std::unique_ptr<StorageBackend>> shards_
+  std::vector<std::unique_ptr<StorageBackend>> shards_
       HGDB_GUARDED_BY(mutex_);
-  /// buffered-read landing zone
+  /// cache-miss read landing zone
   mutable std::string scratch_ HGDB_GUARDED_BY(mutex_);
   mutable BlockCache cache_ HGDB_GUARDED_BY(mutex_);
   /// Last residency this instance reported into the global gauge; the

@@ -5,22 +5,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
-#include "common/checked_mutex.h"
 #include "waveform/index_format.h"
 
 namespace hgdb::waveform {
-
-const char* to_string(IoMode mode) {
-  switch (mode) {
-    case IoMode::kAuto: return "auto";
-    case IoMode::kBuffered: return "buffered";
-    case IoMode::kMmap: return "mmap";
-  }
-  return "unknown";
-}
 
 namespace {
 
@@ -31,319 +22,138 @@ namespace {
                                         : std::string()));
 }
 
-void check_range(uint64_t offset, size_t length, uint64_t file_size,
-                 const std::string& path) {
-  if (offset > file_size || length > file_size - offset) {
-    throw WvxError(WvxFault::kTruncatedBlock,
-                   "wvx: read of " + std::to_string(length) + " bytes at " +
-                       std::to_string(offset) + " past end of '" + path +
-                       "' (" + std::to_string(file_size) + " bytes)");
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// read side
+// ---------------------------------------------------------------------------
+
+StorageBackend::StorageBackend(const std::string& path) : path_(path) {
+  errno = 0;
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) fail(WvxFault::kNotFound, path, "cannot open index file");
+  struct stat st{};
+  if (::fstat(fd_, &st) != 0) {
+    ::close(fd_);
+    fail(WvxFault::kIo, path, "cannot stat");
   }
+  size_ = static_cast<uint64_t>(st.st_size);
 }
 
-/// Owns the descriptor; both backends read through it (mmap keeps it only
-/// for the mapping's lifetime bookkeeping — the map survives a close, but
-/// holding the fd keeps semantics obvious and cheap).
-class FdOwner {
- public:
-  explicit FdOwner(int fd) : fd_(fd) {}
-  ~FdOwner() {
-    if (fd_ >= 0) ::close(fd_);
+StorageBackend::~StorageBackend() { ::close(fd_); }
+
+void StorageBackend::read(uint64_t offset, size_t length,
+                          std::string& out) const {
+  if (offset > size_ || length > size_ - offset) {
+    throw WvxError(WvxFault::kTruncatedBlock,
+                   "wvx: read of " + std::to_string(length) + " bytes at " +
+                       std::to_string(offset) + " past end of '" + path_ +
+                       "' (" + std::to_string(size_) + " bytes)");
   }
-  FdOwner(const FdOwner&) = delete;
-  FdOwner& operator=(const FdOwner&) = delete;
-  [[nodiscard]] int get() const { return fd_; }
-  /// Hands ownership back to the caller (finish() closes explicitly so a
-  /// close error can be reported instead of swallowed by the destructor).
-  [[nodiscard]] int release() {
-    const int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
-
- private:
-  int fd_;
-};
-
-class BufferedStorage final : public StorageBackend {
- public:
-  BufferedStorage(int fd, uint64_t size, std::string path)
-      : fd_(fd), size_(size), path_(std::move(path)) {}
-
-  [[nodiscard]] const char* kind() const override { return "buffered"; }
-  [[nodiscard]] uint64_t size() const override { return size_; }
-
-  const char* view(uint64_t offset, size_t length,
-                   std::string& scratch) override {
-    check_range(offset, length, size_, path_);
-    scratch.resize(length);
-    size_t done = 0;
-    while (done < length) {
-      const ssize_t got =
-          ::pread(fd_.get(), scratch.data() + done, length - done,
-                  static_cast<off_t>(offset + done));
-      if (got < 0) {
-        if (errno == EINTR) continue;
-        fail(WvxFault::kIo, path_, "read failed for");
-      }
-      if (got == 0) {  // file shrank underneath us
-        errno = 0;
-        fail(WvxFault::kTruncatedBlock, path_, "unexpected EOF in");
-      }
-      done += static_cast<size_t>(got);
+  out.resize(length);
+  size_t done = 0;
+  while (done < length) {
+    const ssize_t got = ::pread(fd_, out.data() + done, length - done,
+                                static_cast<off_t>(offset + done));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      fail(WvxFault::kIo, path_, "read failed for");
     }
-    return scratch.data();
+    if (got == 0) {  // file shrank underneath us
+      errno = 0;
+      fail(WvxFault::kTruncatedBlock, path_, "unexpected EOF in");
+    }
+    done += static_cast<size_t>(got);
   }
-
- private:
-  FdOwner fd_;
-  uint64_t size_;
-  std::string path_;
-};
-
-class MmapStorage final : public StorageBackend {
- public:
-  MmapStorage(int fd, uint64_t size, std::string path, const char* base)
-      : fd_(fd), size_(size), path_(std::move(path)), base_(base) {}
-
-  ~MmapStorage() override {
-    ::munmap(const_cast<char*>(base_), static_cast<size_t>(size_));
-  }
-
-  [[nodiscard]] const char* kind() const override { return "mmap"; }
-  [[nodiscard]] uint64_t size() const override { return size_; }
-
-  const char* view(uint64_t offset, size_t length,
-                   std::string& /*scratch*/) override {
-    check_range(offset, length, size_, path_);
-    return base_ + offset;
-  }
-
- private:
-  FdOwner fd_;
-  uint64_t size_;
-  std::string path_;
-  const char* base_;
-};
+}
 
 // ---------------------------------------------------------------------------
 // write side
 // ---------------------------------------------------------------------------
 
-/// pwrite() per call; the append offset is plain bookkeeping.
-class BufferedWriteStorage final : public WriteBackend {
- public:
-  BufferedWriteStorage(int fd, std::string path)
-      : fd_(fd), path_(std::move(path)) {}
-
-  [[nodiscard]] const char* kind() const override { return "buffered"; }
-
-  [[nodiscard]] uint64_t offset() const override {
-    common::LockGuard lock(mutex_);
-    return logical_size_;
-  }
-
-  void append(const char* data, size_t length) override {
-    common::LockGuard lock(mutex_);
-    write_range_locked(logical_size_, data, length);
-    logical_size_ += length;
-  }
-
-  void write_at(uint64_t offset, const char* data, size_t length) override {
-    common::LockGuard lock(mutex_);
-    if (offset > logical_size_ || length > logical_size_ - offset) {
-      errno = 0;
-      fail(WvxFault::kIo, path_, "patch past logical end of");
-    }
-    write_range_locked(offset, data, length);
-  }
-
-  void finish() override {
-    common::LockGuard lock(mutex_);
-    // pwrite is unbuffered; nothing to flush. Closing surfaces any
-    // deferred error the filesystem still has for us.
-    const int fd = fd_.release();
-    if (fd >= 0 && ::close(fd) != 0) {
-      fail(WvxFault::kIo, path_, "close failed for");
-    }
-  }
-
- private:
-  void write_range_locked(uint64_t offset, const char* data, size_t length)
-      HGDB_REQUIRES(mutex_) {
-    size_t done = 0;
-    while (done < length) {
-      const ssize_t put =
-          ::pwrite(fd_.get(), data + done, length - done,
-                   static_cast<off_t>(offset + done));
-      if (put < 0) {
-        if (errno == EINTR) continue;
-        fail(WvxFault::kIo, path_, "write failed for");
-      }
-      done += static_cast<size_t>(put);
-    }
-  }
-
-  mutable common::WaveformMutex mutex_{"waveform::write_buffered"};
-  FdOwner fd_ HGDB_GUARDED_BY(mutex_);
-  uint64_t logical_size_ HGDB_GUARDED_BY(mutex_) = 0;
-  std::string path_;
-};
-
-/// The file grown in chunks and mapped read-write: append is a memcpy
-/// into the mapping, header patches never seek, finish() trims the chunk
-/// slack back to the logical size.
-class MmapWriteStorage final : public WriteBackend {
- public:
-  /// Doubling from 1 MiB keeps remaps logarithmic in file size while the
-  /// final ftruncate returns the slack, so small files stay small on disk.
-  static constexpr uint64_t kInitialCapacity = 1ull << 20;
-
-  MmapWriteStorage(int fd, std::string path, char* base, uint64_t capacity)
-      : fd_(fd), path_(std::move(path)), base_(base), capacity_(capacity) {}
-
-  ~MmapWriteStorage() override {
-    common::LockGuard lock(mutex_);
-    unmap_locked();
-  }
-
-  [[nodiscard]] const char* kind() const override { return "mmap"; }
-
-  [[nodiscard]] uint64_t offset() const override {
-    common::LockGuard lock(mutex_);
-    return logical_size_;
-  }
-
-  void append(const char* data, size_t length) override {
-    common::LockGuard lock(mutex_);
-    reserve_locked(logical_size_ + length);
-    std::memcpy(base_ + logical_size_, data, length);
-    logical_size_ += length;
-  }
-
-  void write_at(uint64_t offset, const char* data, size_t length) override {
-    common::LockGuard lock(mutex_);
-    if (offset > logical_size_ || length > logical_size_ - offset) {
-      errno = 0;
-      fail(WvxFault::kIo, path_, "patch past logical end of");
-    }
-    std::memcpy(base_ + offset, data, length);
-  }
-
-  void finish() override {
-    common::LockGuard lock(mutex_);
-    unmap_locked();
-    // Return the growth slack: readers must see exactly logical_size_
-    // bytes, and a zero-padded tail would parse as a truncated block.
-    if (::ftruncate(fd_.get(), static_cast<off_t>(logical_size_)) != 0) {
-      fail(WvxFault::kIo, path_, "final truncate failed for");
-    }
-    const int fd = fd_.release();
-    if (fd >= 0 && ::close(fd) != 0) {
-      fail(WvxFault::kIo, path_, "close failed for");
-    }
-  }
-
- private:
-  void reserve_locked(uint64_t needed) HGDB_REQUIRES(mutex_) {
-    if (needed <= capacity_) return;
-    uint64_t capacity = capacity_;
-    while (capacity < needed) capacity *= 2;
-    if (::ftruncate(fd_.get(), static_cast<off_t>(capacity)) != 0) {
-      fail(WvxFault::kIo, path_, "grow failed for");
-    }
-    // Remap rather than map a second window: the directory write spans
-    // block boundaries and must stay contiguous.
-    ::munmap(base_, static_cast<size_t>(capacity_));
-    void* base = ::mmap(nullptr, static_cast<size_t>(capacity),
-                        PROT_READ | PROT_WRITE, MAP_SHARED, fd_.get(), 0);
-    if (base == MAP_FAILED) {
-      base_ = nullptr;
-      capacity_ = 0;
-      fail(WvxFault::kIo, path_, "remap failed for");
-    }
-    base_ = static_cast<char*>(base);
-    capacity_ = capacity;
-  }
-
-  void unmap_locked() HGDB_REQUIRES(mutex_) {
-    if (base_ != nullptr) {
-      ::munmap(base_, static_cast<size_t>(capacity_));
-      base_ = nullptr;
-    }
-  }
-
-  mutable common::WaveformMutex mutex_{"waveform::write_mmap"};
-  FdOwner fd_ HGDB_GUARDED_BY(mutex_);
-  std::string path_;
-  char* base_ HGDB_GUARDED_BY(mutex_);
-  uint64_t capacity_ HGDB_GUARDED_BY(mutex_);
-  uint64_t logical_size_ HGDB_GUARDED_BY(mutex_) = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<StorageBackend> open_storage(const std::string& path,
-                                             IoMode mode) {
+WriteBackend::WriteBackend(const std::string& path) : path_(path) {
   errno = 0;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) fail(WvxFault::kNotFound, path, "cannot open index file");
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    fail(WvxFault::kIo, path, "cannot stat");
+  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd_ < 0) fail(WvxFault::kIo, path, "cannot create index file");
+  void* base = MAP_FAILED;
+  if (::ftruncate(fd_, static_cast<off_t>(kInitialCapacity)) == 0) {
+    base = ::mmap(nullptr, static_cast<size_t>(kInitialCapacity),
+                  PROT_READ | PROT_WRITE, MAP_SHARED, fd_, 0);
   }
-  const auto size = static_cast<uint64_t>(st.st_size);
-
-  // An empty file cannot be mapped; the buffered backend reports the
-  // truncation through the normal header-read path instead.
-  if (mode != IoMode::kBuffered && size != 0) {
-    void* base = ::mmap(nullptr, static_cast<size_t>(size), PROT_READ,
-                        MAP_PRIVATE, fd, 0);
-    if (base != MAP_FAILED) {
-      return std::make_unique<MmapStorage>(fd, size, path,
-                                           static_cast<const char*>(base));
-    }
-    if (mode == IoMode::kMmap) {
-      ::close(fd);
-      fail(WvxFault::kIo, path, "mmap failed for");
-    }
-    // kAuto: fall through to buffered.
+  if (base == MAP_FAILED) {
+    const int error = errno;
+    ::close(fd_);
+    errno = error;
+    fail(WvxFault::kIo, path, "writable mmap failed for");
   }
-  errno = 0;
-  return std::make_unique<BufferedStorage>(fd, size, path);
+  base_ = static_cast<char*>(base);
+  capacity_ = kInitialCapacity;
 }
 
-std::unique_ptr<WriteBackend> open_write_storage(const std::string& path,
-                                                 IoMode mode) {
-  errno = 0;
-  const int fd =
-      ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) fail(WvxFault::kIo, path, "cannot create index file");
+WriteBackend::~WriteBackend() {
+  common::LockGuard lock(mutex_);
+  unmap_locked();
+  if (fd_ >= 0) ::close(fd_);
+}
 
-  if (mode != IoMode::kBuffered) {
-    const uint64_t capacity = MmapWriteStorage::kInitialCapacity;
-    if (::ftruncate(fd, static_cast<off_t>(capacity)) == 0) {
-      void* base = ::mmap(nullptr, static_cast<size_t>(capacity),
-                          PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-      if (base != MAP_FAILED) {
-        return std::make_unique<MmapWriteStorage>(
-            fd, path, static_cast<char*>(base), capacity);
-      }
-    }
-    if (mode == IoMode::kMmap) {
-      ::close(fd);
-      fail(WvxFault::kIo, path, "writable mmap failed for");
-    }
-    // kAuto: the file is still empty (or will be truncated by the first
-    // pwrite bookkeeping); fall through to buffered.
-    if (::ftruncate(fd, 0) != 0) {
-      ::close(fd);
-      fail(WvxFault::kIo, path, "truncate failed for");
-    }
+uint64_t WriteBackend::offset() const {
+  common::LockGuard lock(mutex_);
+  return logical_size_;
+}
+
+void WriteBackend::append(const char* data, size_t length) {
+  common::LockGuard lock(mutex_);
+  reserve_locked(logical_size_ + length);
+  std::memcpy(base_ + logical_size_, data, length);
+  logical_size_ += length;
+}
+
+void WriteBackend::write_at(uint64_t offset, const char* data, size_t length) {
+  common::LockGuard lock(mutex_);
+  if (offset > logical_size_ || length > logical_size_ - offset) {
+    errno = 0;
+    fail(WvxFault::kIo, path_, "patch past logical end of");
   }
-  errno = 0;
-  return std::make_unique<BufferedWriteStorage>(fd, path);
+  std::memcpy(base_ + offset, data, length);
+}
+
+void WriteBackend::finish() {
+  common::LockGuard lock(mutex_);
+  unmap_locked();
+  // Return the growth slack: readers must see exactly logical_size_
+  // bytes, and a zero-padded tail would parse as a truncated block.
+  if (::ftruncate(fd_, static_cast<off_t>(logical_size_)) != 0) {
+    fail(WvxFault::kIo, path_, "final truncate failed for");
+  }
+  const int fd = fd_;
+  fd_ = -1;
+  if (::close(fd) != 0) fail(WvxFault::kIo, path_, "close failed for");
+}
+
+void WriteBackend::reserve_locked(uint64_t needed) {
+  if (needed <= capacity_) return;
+  // capacity_ is 0 once unmapped (a failed remap, or after finish()).
+  uint64_t capacity = std::max(capacity_, kInitialCapacity);
+  while (capacity < needed) capacity *= 2;
+  if (::ftruncate(fd_, static_cast<off_t>(capacity)) != 0) {
+    fail(WvxFault::kIo, path_, "grow failed for");
+  }
+  // Remap rather than map a second window: the directory write spans
+  // block boundaries and must stay contiguous.
+  unmap_locked();
+  void* base = ::mmap(nullptr, static_cast<size_t>(capacity),
+                      PROT_READ | PROT_WRITE, MAP_SHARED, fd_, 0);
+  if (base == MAP_FAILED) fail(WvxFault::kIo, path_, "remap failed for");
+  base_ = static_cast<char*>(base);
+  capacity_ = capacity;
+}
+
+void WriteBackend::unmap_locked() {
+  if (base_ != nullptr) {
+    ::munmap(base_, static_cast<size_t>(capacity_));
+    base_ = nullptr;
+    capacity_ = 0;
+  }
 }
 
 }  // namespace hgdb::waveform

@@ -1,101 +1,96 @@
 #ifndef HGDB_WAVEFORM_STORAGE_BACKEND_H
 #define HGDB_WAVEFORM_STORAGE_BACKEND_H
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
+
+#include "common/checked_mutex.h"
 
 namespace hgdb::waveform {
 
-/// How an IndexedWaveform reads its file.
-enum class IoMode : uint8_t {
-  kAuto,      ///< mmap when the platform supports it, else buffered
-  kBuffered,  ///< positional reads (pread) into caller buffers
-  kMmap,      ///< one read-only mapping; views are pointers into it
-};
-
-[[nodiscard]] const char* to_string(IoMode mode);
-
-/// Read-side I/O seam of the waveform store. The reader, the verifier and
-/// the cache-miss path are all written against this interface, so the I/O
-/// strategy can change without touching any of them:
+/// Read side of the waveform store: one file opened read-only and read
+/// with positional reads (pread) into caller-owned buffers — one syscall
+/// per cold block and no address-space cost, so a replayed dump's pages
+/// never count against the reader's resident set (the block cache bounds
+/// what stays in memory). The reader, the verifier and the cache-miss
+/// path all read through it.
 ///
-///  - BufferedStorage  pread() into a caller-owned scratch buffer — one
-///                     syscall per cold block, no address-space cost.
-///  - MmapStorage      the whole file mapped read-only; view() is pointer
-///                     arithmetic, hot blocks skip the read syscall and
-///                     the OS page cache handles eviction for cold ones.
-///
-/// Implementations are safe for concurrent view() calls on distinct
-/// scratch buffers (pread is positionless; the mapping is immutable).
+/// Safe for concurrent read() calls into distinct buffers (pread is
+/// positionless).
 class StorageBackend {
  public:
-  virtual ~StorageBackend() = default;
+  /// Opens `path` read-only. Throws WvxError (kNotFound / kIo).
+  explicit StorageBackend(const std::string& path);
+  ~StorageBackend();
+  StorageBackend(const StorageBackend&) = delete;
+  StorageBackend& operator=(const StorageBackend&) = delete;
 
-  /// Which strategy this backend implements ("buffered" / "mmap").
-  [[nodiscard]] virtual const char* kind() const = 0;
-  [[nodiscard]] virtual uint64_t size() const = 0;
+  /// File size at open time.
+  [[nodiscard]] uint64_t size() const { return size_; }
 
-  /// `length` bytes starting at `offset`. Zero-copy backends return a
-  /// pointer into their mapping and leave `scratch` untouched; copying
-  /// backends fill `scratch` and return scratch.data(). The pointer stays
-  /// valid until the backend is destroyed (mmap) or `scratch` is next
-  /// modified (buffered). Throws WvxError (kTruncatedBlock / kIo) when the
-  /// range extends past EOF or the read fails.
-  virtual const char* view(uint64_t offset, size_t length,
-                           std::string& scratch) = 0;
+  /// Fills `out` with the `length` bytes starting at `offset`. Throws
+  /// WvxError: kTruncatedBlock when the range extends past the size at
+  /// open time or the file shrank since, kIo when the read fails.
+  void read(uint64_t offset, size_t length, std::string& out) const;
+
+ private:
+  int fd_;
+  uint64_t size_ = 0;
+  std::string path_;
 };
 
-/// Opens `path` read-only with the requested strategy. kAuto resolves to
-/// mmap where available (empty files fall back to buffered: mmap of zero
-/// bytes is ill-defined). Throws WvxError (kNotFound / kIo).
-std::unique_ptr<StorageBackend> open_storage(const std::string& path,
-                                             IoMode mode = IoMode::kAuto);
-
-/// Write-side I/O seam — the mirror of StorageBackend for producers. The
-/// IndexWriter appends block payloads and the directory through this
-/// interface and patches the fixed-position header at the end, so the
-/// write strategy is selectable per file:
+/// Write side of the waveform store. The IndexWriter appends block
+/// payloads and the directory through it and patches the fixed-position
+/// header at the end. The file is grown in chunks (ftruncate) and mapped
+/// shared read-write: append is a memcpy, the header patch never seeks,
+/// and finish() trims the file back to its logical size.
 ///
-///  - BufferedWriteStorage  positional pwrite() per call — no address-
-///                          space cost, write syscall per block.
-///  - MmapWriteStorage      the file grown in chunks (ftruncate) and
-///                          mapped read-write; append is a memcpy, the
-///                          header patch never needs a seek, and finish()
-///                          trims the file back to its logical size.
-///
-/// Implementations serialize internally (one annotated mutex), so a
-/// producer may append from a worker while another thread polls offset().
-/// Bytes are durable in page cache after finish(); like the ofstream path
-/// this replaces, no fsync is issued.
+/// Serialized internally (one annotated mutex), so a producer may append
+/// while another thread polls offset(). Bytes are in the page cache after
+/// finish(); no fsync is issued.
 class WriteBackend {
  public:
-  virtual ~WriteBackend() = default;
+  /// Doubling from 1 MiB keeps remaps logarithmic in file size while the
+  /// final ftruncate returns the slack, so small files stay small on disk.
+  static constexpr uint64_t kInitialCapacity = 1ull << 20;
 
-  /// Which strategy this backend implements ("buffered" / "mmap").
-  [[nodiscard]] virtual const char* kind() const = 0;
+  /// Creates/truncates `path` and maps it. Throws WvxError(kIo) when the
+  /// file cannot be created, or cannot be grown and mapped shared and
+  /// writable (e.g. /dev/null).
+  explicit WriteBackend(const std::string& path);
+  /// An unfinished file keeps its chunk slack and a zero footer offset,
+  /// which readers reject as never finalized.
+  ~WriteBackend();
+  WriteBackend(const WriteBackend&) = delete;
+  WriteBackend& operator=(const WriteBackend&) = delete;
+
   /// Current append position == logical bytes written so far.
-  [[nodiscard]] virtual uint64_t offset() const = 0;
+  [[nodiscard]] uint64_t offset() const;
 
   /// Appends `length` bytes at the current offset. Throws WvxError(kIo).
-  virtual void append(const char* data, size_t length) = 0;
+  void append(const char* data, size_t length);
 
   /// Overwrites `length` bytes at an absolute position without moving the
   /// append offset (header back-patching). The range must lie within the
   /// bytes already appended. Throws WvxError(kIo).
-  virtual void write_at(uint64_t offset, const char* data, size_t length) = 0;
+  void write_at(uint64_t offset, const char* data, size_t length);
 
-  /// Flushes, trims the file to offset() bytes and closes it. Must be the
-  /// last call; throws WvxError(kIo) if any write failed to land.
-  virtual void finish() = 0;
+  /// Unmaps, trims the file to offset() bytes and closes it. Must be the
+  /// last call; throws WvxError(kIo) if the trim or close fails.
+  void finish();
+
+ private:
+  void reserve_locked(uint64_t needed) HGDB_REQUIRES(mutex_);
+  void unmap_locked() HGDB_REQUIRES(mutex_);
+
+  mutable common::WaveformMutex mutex_{"waveform::write_mmap"};
+  int fd_ HGDB_GUARDED_BY(mutex_) = -1;
+  std::string path_;
+  char* base_ HGDB_GUARDED_BY(mutex_) = nullptr;
+  uint64_t capacity_ HGDB_GUARDED_BY(mutex_) = 0;
+  uint64_t logical_size_ HGDB_GUARDED_BY(mutex_) = 0;
 };
-
-/// Creates/truncates `path` for writing with the requested strategy.
-/// kAuto resolves to mmap where available, else buffered; kMmap throws
-/// WvxError(kIo) when mapping is unsupported. Throws WvxError(kIo) when
-/// the file cannot be created.
-std::unique_ptr<WriteBackend> open_write_storage(const std::string& path,
-                                                 IoMode mode = IoMode::kAuto);
 
 }  // namespace hgdb::waveform
 

@@ -9,9 +9,7 @@ VerifyResult verify_index(const std::string& path) {
   try {
     // A small cache: verification touches every block exactly once, so
     // residency would only waste memory.
-    IndexedWaveform waveform(path,
-                             WaveformOpenOptions{/*cache_blocks=*/8,
-                                                 IoMode::kAuto});
+    IndexedWaveform waveform(path, /*cache_blocks=*/8);
     result.checksummed = waveform.has_block_checksums();
     result.version = waveform.version();
     result.codec = waveform.codec_name();

@@ -1,7 +1,8 @@
 // Format-compatibility suite for the layered storage engine: v1/v2
 // fixtures must keep opening, verifying and replaying bit-identically
 // through the new codec layer; v3 must dedupe aliases and shrink the
-// file; both storage backends (buffered / mmap) must answer identically.
+// file; files too small to be an index, short reads and reads past EOF
+// fail with typed faults.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -260,24 +261,28 @@ TEST_F(FormatCompatTest, InMemoryTraceDedupesAliasStorageToo) {
   EXPECT_EQ(&aliased.changes(*a), &aliased.changes(*c));
 }
 
-TEST_F(FormatCompatTest, MmapAndBufferedBackendsAnswerIdentically) {
-  write_vcd(synthetic_vcd(6, 100, 6));
-  const auto path = convert("io", IndexWriterOptions{});
-
-  IndexedWaveform mapped(path, WaveformOpenOptions{8, IoMode::kMmap});
-  IndexedWaveform buffered(path, WaveformOpenOptions{8, IoMode::kBuffered});
-  EXPECT_STREQ(mapped.io_kind(), "mmap");
-  EXPECT_STREQ(buffered.io_kind(), "buffered");
-
-  std::mt19937_64 rng(5);
-  for (int i = 0; i < 300; ++i) {
-    const size_t signal = rng() % mapped.signal_count();
-    const uint64_t time = rng() % (mapped.max_time() + 1);
-    ASSERT_EQ(mapped.value_at(signal, time), buffered.value_at(signal, time));
+TEST_F(FormatCompatTest, EmptyAndShortFilesAreBadMagic) {
+  // Neither can hold a header; the reader must say "not an index"
+  // (bad-magic), not a truncation or an I/O error.
+  for (const size_t size : {size_t{0}, size_t{10}}) {
+    SCOPED_TRACE(size);
+    const std::string path = stem_ + ".short" + std::to_string(size) + ".wvx";
+    produced_.push_back(path);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << std::string(size, 'w');
+    }
+    try {
+      IndexedWaveform indexed(path);
+      FAIL() << "expected WvxError";
+    } catch (const WvxError& error) {
+      EXPECT_EQ(error.fault(), WvxFault::kBadMagic);
+    }
+    const auto result = verify_index(path);
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.fault, WvxFault::kBadMagic);
+    EXPECT_NE(describe(result, path).find("[bad-magic]"), std::string::npos);
   }
-  // Both stay LRU-bounded.
-  EXPECT_LE(mapped.cache_stats().peak_resident, mapped.cache_capacity());
-  EXPECT_LE(buffered.cache_stats().peak_resident, buffered.cache_capacity());
 }
 
 TEST_F(FormatCompatTest, TruncatedDirectoryFailsWithTypedFault) {
@@ -576,26 +581,41 @@ TEST(BlockCodecs, DecodeRejectsCorruptPayloads) {
                WvxError);
 }
 
-TEST(StorageBackends, OpenModesAndTypedErrors) {
-  EXPECT_THROW((void)open_storage("/nonexistent/trace.wvx", IoMode::kAuto),
-               WvxError);
+TEST(StorageBackends, PreadReadsRangesAndTypedErrors) {
+  try {
+    StorageBackend missing("/nonexistent/trace.wvx");
+    FAIL() << "expected WvxError";
+  } catch (const WvxError& error) {
+    EXPECT_EQ(error.fault(), WvxFault::kNotFound);
+  }
   const std::string path = ::testing::TempDir() + "hgdb_storage_" +
                            std::to_string(::getpid()) + ".bin";
   {
     std::ofstream out(path, std::ios::binary);
     out << "0123456789";
   }
-  auto buffered = open_storage(path, IoMode::kBuffered);
-  auto mapped = open_storage(path, IoMode::kMmap);
-  EXPECT_STREQ(buffered->kind(), "buffered");
-  EXPECT_STREQ(mapped->kind(), "mmap");
-  EXPECT_EQ(buffered->size(), 10u);
-  std::string scratch;
-  EXPECT_EQ(std::string(buffered->view(2, 3, scratch), 3), "234");
-  EXPECT_EQ(std::string(mapped->view(2, 3, scratch), 3), "234");
+  StorageBackend storage(path);
+  EXPECT_EQ(storage.size(), 10u);
+  std::string out = "stale contents longer than the read";
+  storage.read(2, 3, out);
+  EXPECT_EQ(out, "234");
+  storage.read(10, 0, out);  // an empty range at EOF is in bounds
+  EXPECT_EQ(out, "");
   // Reads past EOF are typed truncation faults, not garbage.
-  EXPECT_THROW((void)buffered->view(8, 4, scratch), WvxError);
-  EXPECT_THROW((void)mapped->view(8, 4, scratch), WvxError);
+  try {
+    storage.read(8, 4, out);
+    FAIL() << "expected WvxError";
+  } catch (const WvxError& error) {
+    EXPECT_EQ(error.fault(), WvxFault::kTruncatedBlock);
+  }
+  // So is a file that shrank after open: size() is the size at open.
+  ASSERT_EQ(::truncate(path.c_str(), 4), 0);
+  try {
+    storage.read(2, 6, out);
+    FAIL() << "expected WvxError";
+  } catch (const WvxError& error) {
+    EXPECT_EQ(error.fault(), WvxFault::kTruncatedBlock);
+  }
   std::remove(path.c_str());
 }
 

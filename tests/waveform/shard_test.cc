@@ -198,7 +198,7 @@ TEST_F(ShardTest, CrossScopeAliasSharesItsCanonicalShardAndStream) {
 TEST_F(ShardTest, OneCacheBudgetServesEveryShard) {
   write_vcd(multi_scope_vcd(6, 100));
   const auto path = convert("cache", ShardedConvertOptions{});
-  IndexedWaveform reader(path, WaveformOpenOptions{4, IoMode::kAuto});
+  IndexedWaveform reader(path, 4);
   ASSERT_GE(reader.shard_count(), 6u);
   // Touch blocks in every shard, far more streams than cache slots: the
   // *global* budget must hold, not a per-shard one.
@@ -222,8 +222,8 @@ TEST_F(ShardTest, ResidentGaugeAggregatesAcrossReadersByDelta) {
       obs::MetricsRegistry::global().gauge("waveform.block_cache.resident");
   const int64_t before = gauge.value();
   {
-    IndexedWaveform a(path, WaveformOpenOptions{8, IoMode::kAuto});
-    IndexedWaveform b(path, WaveformOpenOptions{8, IoMode::kAuto});
+    IndexedWaveform a(path, 8);
+    IndexedWaveform b(path, 8);
     for (size_t i = 0; i < a.signal_count(); ++i) {
       (void)a.value_at(i, 3);
       (void)b.value_at(i, 3);

@@ -1,7 +1,8 @@
-// WriteBackend seam: the mmap write path must produce the same bytes as
-// the buffered one (the reader can't tell how a file was written), grow
-// past its initial chunk correctly, trim the growth slack on finish(),
-// and reject patches outside the appended range.
+// WriteBackend: the mapped write path must grow past its initial chunk
+// correctly, trim the growth slack on finish(), reject patches outside
+// the appended range and refuse targets it cannot map — and the whole
+// writer stack must keep reproducing a committed golden v4 index byte
+// for byte.
 #include "waveform/storage_backend.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +10,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <random>
 #include <string>
 
 #include "waveform/index_writer.h"
@@ -24,30 +24,11 @@ std::string read_file(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// Same generator as index_test.cc: deterministic, includes >64-bit lanes.
-std::string synthetic_vcd(size_t signals, size_t cycles) {
-  std::string out = "$scope module top $end\n$var wire 1 ck clk $end\n";
-  for (size_t i = 0; i < signals; ++i) {
-    const uint32_t width = i % 3 == 2 ? 80 : 16;
-    out += "$var wire " + std::to_string(width) + " c" + std::to_string(i) +
-           " sig" + std::to_string(i) + " $end\n";
-  }
-  out += "$upscope $end\n$enddefinitions $end\n";
-  std::mt19937_64 rng(11);
-  for (size_t t = 0; t < cycles; ++t) {
-    out += "#" + std::to_string(2 * t) + "\n1ck\n";
-    for (size_t i = 0; i < signals; ++i) {
-      if (rng() % 3 != 0 && t != 0) continue;
-      const uint64_t value = rng();
-      std::string bits = "b";
-      for (int bit = 63; bit >= 0; --bit)
-        bits += ((value >> bit) & 1) ? '1' : '0';
-      out += bits + " c" + std::to_string(i) + "\n";
-    }
-    out += "#" + std::to_string(2 * t + 1) + "\n0ck\n";
-  }
-  return out;
-}
+/// Committed fixtures: a deterministic VCD (clock, 8-bit counter, 80-bit
+/// wide signal, one cross-scope alias of the counter) and the v4 index
+/// the library's default conversion wrote from it.
+const std::string kGoldenVcd = HGDB_TEST_DATA_DIR "/fixtures/golden_v4.vcd";
+const std::string kGoldenWvx = HGDB_TEST_DATA_DIR "/fixtures/golden_v4.wvx";
 
 class WriteBackendTest : public ::testing::Test {
  protected:
@@ -70,81 +51,92 @@ class WriteBackendTest : public ::testing::Test {
 };
 
 TEST_F(WriteBackendTest, AppendOffsetAndPatchRoundTrip) {
-  for (IoMode mode : {IoMode::kBuffered, IoMode::kMmap}) {
-    SCOPED_TRACE(to_string(mode));
-    const auto file = path(std::string(".") + to_string(mode));
-    auto backend = open_write_storage(file, mode);
-    EXPECT_STREQ(backend->kind(), to_string(mode));
-    EXPECT_EQ(backend->offset(), 0u);
-    backend->append("placeholder-", 12);
-    backend->append("payload", 7);
-    EXPECT_EQ(backend->offset(), 19u);
-    backend->write_at(0, "header-patch", 12);
-    backend->finish();
-    EXPECT_EQ(read_file(file), "header-patchpayload");
-  }
+  const auto file = path(".bin");
+  WriteBackend backend(file);
+  EXPECT_EQ(backend.offset(), 0u);
+  backend.append("placeholder-", 12);
+  backend.append("payload", 7);
+  EXPECT_EQ(backend.offset(), 19u);
+  backend.write_at(0, "header-patch", 12);
+  backend.finish();
+  EXPECT_EQ(read_file(file), "header-patchpayload");
 }
 
 TEST_F(WriteBackendTest, MmapGrowsPastInitialChunkAndTrimsSlack) {
   const auto file = path(".grow");
-  auto backend = open_write_storage(file, IoMode::kMmap);
+  WriteBackend backend(file);
   // Push well past the initial chunk so the grow/remap path runs at
-  // least twice; a stale mapping after remap would corrupt or crash.
-  const std::string block(64 * 1024, 'x');
-  const size_t kBlocks =
-      3 * (1 << 20) / block.size() + 1;  // > 3 MiB total
-  for (size_t i = 0; i < kBlocks; ++i) {
-    backend->append(block.data(), block.size());
+  // least twice. Every chunk carries its own byte, so a stale mapping
+  // after a remap shows up as wrong content, not just a wrong size.
+  std::string expected;
+  for (size_t i = 0; expected.size() <= 3 * WriteBackend::kInitialCapacity;
+       ++i) {
+    const std::string block(64 * 1024, static_cast<char>('a' + i % 26));
+    backend.append(block.data(), block.size());
+    expected += block;
   }
-  const uint64_t logical = backend->offset();
-  EXPECT_EQ(logical, kBlocks * block.size());
-  backend->write_at(logical - 4, "tail", 4);
-  backend->finish();
-  // finish() must truncate the chunk slack: on-disk size == logical size.
-  const std::string contents = read_file(file);
-  ASSERT_EQ(contents.size(), logical);
-  EXPECT_EQ(contents.substr(logical - 4), "tail");
+  const uint64_t logical = backend.offset();
+  EXPECT_EQ(logical, expected.size());
+  backend.write_at(logical - 4, "tail", 4);
+  expected.replace(expected.size() - 4, 4, "tail");
+  backend.write_at(0, "head", 4);
+  expected.replace(0, 4, "head");
+  backend.finish();
+  // finish() must truncate the chunk slack: on-disk bytes == logical bytes.
+  EXPECT_TRUE(read_file(file) == expected);
 }
 
 TEST_F(WriteBackendTest, PatchPastLogicalEndThrows) {
-  for (IoMode mode : {IoMode::kBuffered, IoMode::kMmap}) {
-    SCOPED_TRACE(to_string(mode));
-    auto backend =
-        open_write_storage(path(std::string(".oob.") + to_string(mode)), mode);
-    backend->append("abc", 3);
-    EXPECT_THROW(backend->write_at(2, "xy", 2), WvxError);
-    EXPECT_THROW(backend->write_at(4, "x", 1), WvxError);
-    backend->write_at(0, "xyz", 3);  // exactly the appended range is fine
-    backend->finish();
+  WriteBackend backend(path(".oob"));
+  backend.append("abc", 3);
+  EXPECT_THROW(backend.write_at(2, "xy", 2), WvxError);
+  EXPECT_THROW(backend.write_at(4, "x", 1), WvxError);
+  backend.write_at(0, "xyz", 3);  // exactly the appended range is fine
+  backend.finish();
+}
+
+TEST_F(WriteBackendTest, UnmappableTargetIsATypedIoError) {
+  // /dev/null opens read-write but can be neither grown nor mapped
+  // shared: the writer has no fallback, so the failure must be typed.
+  try {
+    WriteBackend backend("/dev/null");
+    FAIL() << "expected WvxError";
+  } catch (const WvxError& error) {
+    EXPECT_EQ(error.fault(), WvxFault::kIo);
+  }
+  try {
+    IndexWriter writer("/dev/null");
+    FAIL() << "expected WvxError";
+  } catch (const WvxError& error) {
+    EXPECT_EQ(error.fault(), WvxFault::kIo);
   }
 }
 
-TEST_F(WriteBackendTest, MmapWrittenIndexIsByteIdenticalToBuffered) {
-  const auto vcd = path(".vcd");
-  {
-    std::ofstream out(vcd);
-    out << synthetic_vcd(6, 200);
-  }
-  const auto buffered_wvx = path(".buf.wvx");
-  const auto mmap_wvx = path(".map.wvx");
-  IndexWriterOptions buffered_options;
-  buffered_options.io_mode = IoMode::kBuffered;
-  IndexWriterOptions mmap_options;
-  mmap_options.io_mode = IoMode::kMmap;
-  convert_vcd_to_index(vcd, buffered_wvx, buffered_options);
-  convert_vcd_to_index(vcd, mmap_wvx, mmap_options);
+TEST_F(WriteBackendTest, ConvertReproducesGoldenV4IndexByteForByte) {
+  const std::string golden = read_file(kGoldenWvx);
+  ASSERT_FALSE(golden.empty()) << "missing fixture " << kGoldenWvx;
+  const auto out = path(".wvx");
+  EXPECT_EQ(convert_vcd_to_index(kGoldenVcd, out), 4u);
+  EXPECT_TRUE(read_file(out) == golden)
+      << "convert output drifted from " << kGoldenWvx;
 
-  const std::string buffered_bytes = read_file(buffered_wvx);
-  ASSERT_FALSE(buffered_bytes.empty());
-  EXPECT_EQ(buffered_bytes, read_file(mmap_wvx));
-
-  // And the mmap-written file round-trips through the reader.
-  IndexedWaveform waveform(mmap_wvx);
-  EXPECT_GT(waveform.signal_count(), 0u);
-  const auto index = waveform.signal_index("top.sig0");
-  ASSERT_TRUE(index.has_value());
+  // The fixture exercises what it claims to: v4, a deduped alias, the
+  // clock auto-selected to rle, a wide signal on the default codec.
+  IndexedWaveform waveform(kGoldenWvx);
+  EXPECT_EQ(waveform.version(), 4u);
+  EXPECT_EQ(waveform.alias_count(), 1u);
   EXPECT_FALSE(waveform.verify_blocks().has_value());
-  EXPECT_GT(waveform.value_at(*index, 100).width(), 0u);
+  const auto clock = waveform.signal_index("top.clk");
+  const auto wide = waveform.signal_index("top.wide");
+  const auto count = waveform.signal_index("top.count");
+  const auto alias = waveform.signal_index("top.sub.count_alias");
+  ASSERT_TRUE(clock && wide && count && alias);
+  EXPECT_STREQ(waveform.signal_codec_name(*clock), "rle");
+  EXPECT_STREQ(waveform.signal_codec_name(*wide), "delta");
+  EXPECT_EQ(waveform.signal(*wide).width, 80u);
+  EXPECT_EQ(waveform.canonical_index(*alias), *count);
+  EXPECT_EQ(waveform.value_at(*count, 21).to_uint64(), 11u);
+  EXPECT_EQ(waveform.value_at(*alias, 21).to_uint64(), 11u);
 }
 
 }  // namespace

@@ -5,15 +5,15 @@ Compares the tracked ratios of a fresh bench run against the matching
 file under bench/baselines/ and fails (exit 1) when any ratio dropped
 more than --max-drop (default 30%) below the baseline value. Tracked
 ratios are in-process comparisons of the same two measurements (speedups,
-size savings, backend-vs-backend seek ratios), so they are far more
-stable across runner hardware than absolute timings — which is why the
-gate tracks them and not the raw numbers.
+size savings, compression ratios), so they are far more stable across
+runner hardware than absolute timings — which is why the gate tracks
+them and not the raw numbers.
 
 Two report shapes are understood:
   - fig5 (BENCH_fig5.json): condition_eval.*.speedup + hot_speedup;
   - any report carrying a top-level "gates" object of name -> ratio
     (BENCH_waveform.json: open_vs_parse_speedup, v3_size_savings,
-    mmap_vs_buffered_seek; BENCH_fanout.json: binary_fanout_speedup).
+    rle_clock_compression; BENCH_fanout.json: binary_fanout_speedup).
 
 Reports may also carry a top-level "ceilings" object of name -> absolute
 upper bound (e.g. a p99 latency in ms). Ceilings gate in the opposite
