@@ -157,7 +157,6 @@ EvalRun run_eval(bool compiled_eval, const std::string& condition,
   sim::Simulator simulator(compiled.netlist);
   vpi::NativeBackend backend(simulator);
   runtime::RuntimeOptions options;
-  options.eval_threads = 1;  // measure the engine, not pool dispatch
   options.compiled_eval = compiled_eval;
   runtime::Runtime runtime(backend, table, options);
   runtime.attach();

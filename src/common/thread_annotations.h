@@ -60,12 +60,6 @@
 #define HGDB_TRY_ACQUIRE(ret, ...) \
   HGDB_THREAD_ANNOTATION(try_acquire_capability(ret, __VA_ARGS__))
 
-/// Dynamic assertion that the capability is held (fork/join workers that
-/// run under a lock taken by the *parent* thread assert instead of
-/// acquiring — see CheckedMutex::assert_held).
-#define HGDB_ASSERT_CAPABILITY(x) \
-  HGDB_THREAD_ANNOTATION(assert_capability(x))
-
 /// Return value is a reference to data guarded by the listed capability.
 #define HGDB_RETURN_CAPABILITY(x) HGDB_THREAD_ANNOTATION(lock_returned(x))
 

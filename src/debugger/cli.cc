@@ -653,6 +653,11 @@ int main(int argc, char** argv) {
       std::cerr << "usage: hgdb-cli wvx-verify <file.wvx>\n";
       return 2;
     }
+    if (argc > 3) {
+      std::cerr << "fatal: unexpected wvx-verify argument '" << argv[3]
+                << "'\n";
+      return 2;
+    }
     const auto result = waveform::verify_index(argv[2]);
     std::cout << waveform::describe(result, argv[2]) << "\n";
     return result.ok ? 0 : 1;

@@ -14,8 +14,6 @@ using rpc::StopEvent;
 
 namespace {
 
-constexpr size_t kDefaultEvalThreads = 4;
-
 /// Renders a value the way the IDE variable pane shows it.
 std::string render(const BitVector& value) { return value.to_string(10); }
 
@@ -120,9 +118,6 @@ void Runtime::attach() {
     if (symbol_names.size() >= 64) break;
   }
   mapper_.emplace(interface_->signal_names(), symbol_names, symbol_root);
-
-  pool_ = std::make_unique<ThreadPool>(
-      options_.eval_threads != 0 ? options_.eval_threads : kDefaultEvalThreads);
 
   {
     // Arm time for every symbol-table enable condition: compile and
@@ -362,54 +357,40 @@ void Runtime::collect_watch_hits(std::vector<rpc::WatchHit>& hits) {
   const bool compiled = options_.compiled_eval;
   if (compiled) ensure_edge_values_locked();
 
-  // Same batch path as breakpoint conditions: one parallel_for per edge.
   // In compiled mode a watchpoint none of whose input signals changed
   // since its last evaluation is skipped outright — its value cannot have
   // changed, so it cannot fire.
-  const size_t count = watchpoints_.size();
-  std::vector<std::optional<BitVector>> current(count);
-  std::vector<uint8_t> evaluated(count, 0);
-  std::vector<uint8_t> skipped(count, 0);
-  pool_->parallel_for(count, [&](size_t i) {
-    // Fork/join: the sim thread holds state_mutex_ until the job drains.
-    state_mutex_.assert_held();
-    auto& wp = watchpoints_[i];
+  EvalCounts counts;
+  for (auto& wp : watchpoints_) {
+    std::optional<BitVector> current;
     if (compiled && wp.compiled) {
       if (wp.eval_serial != 0 && deps_serial(wp.dep_slots) <= wp.eval_serial) {
-        skipped[i] = 1;
-        return;
+        ++counts.skipped;
+        continue;
       }
       const BitVector* value = eval_predicate_value(*wp.compiled, plan_);
-      if (value != nullptr) current[i] = *value;
+      if (value != nullptr) current = *value;
       wp.eval_serial = plan_.serial;
-      evaluated[i] = 1;
-      return;
+    } else {
+      try {
+        current = wp.expr.evaluate(
+            instance_resolver(wp.instance_id, wp.instance_name));
+      } catch (const std::exception&) {
+        // Unresolvable this edge: no value, so no change is reported.
+      }
     }
-    try {
-      current[i] =
-          wp.expr.evaluate(instance_resolver(wp.instance_id, wp.instance_name));
-    } catch (const std::exception&) {
-      current[i] = std::nullopt;
+    ++counts.evaluated;
+    if (!current) continue;
+    if (wp.last && *wp.last != *current) {
+      hits.push_back(
+          rpc::WatchHit{wp.id, wp.text, render(*wp.last), render(*current)});
     }
-    evaluated[i] = 1;
-  });
-  uint64_t evaluated_count = 0;
-  uint64_t skipped_count = 0;
-  for (size_t i = 0; i < count; ++i) {
-    evaluated_count += evaluated[i];
-    skipped_count += skipped[i];
-    if (!current[i]) continue;
-    auto& wp = watchpoints_[i];
-    if (wp.last && *wp.last != *current[i]) {
-      hits.push_back(rpc::WatchHit{wp.id, wp.text, render(*wp.last),
-                                   render(*current[i])});
-    }
-    wp.last = std::move(current[i]);
+    wp.last = std::move(current);
   }
-  stats_.watchpoints_evaluated->add(evaluated_count);
-  stats_.dirty_skips->add(skipped_count);
-  if (skipped_count != 0) {
-    HGDB_TRACE_INSTANT("runtime", "dirty_skips", skipped_count);
+  stats_.watchpoints_evaluated->add(counts.evaluated);
+  stats_.dirty_skips->add(counts.skipped);
+  if (counts.skipped != 0) {
+    HGDB_TRACE_INSTANT("runtime", "dirty_skips", counts.skipped);
   }
   if (options_.collect_stats) {
     const uint64_t elapsed = elapsed_ns(t0);
@@ -1135,136 +1116,116 @@ void Runtime::evaluate_batch(const Batch& batch, bool respect_inserted,
   const bool compiled = options_.compiled_eval;
   if (compiled) ensure_edge_values_locked();
 
-  const size_t count = batch.members.size();
-  std::vector<uint8_t> fired(count, 0);
-  std::vector<uint8_t> evaluated(count, 0);
-  std::vector<uint8_t> skipped(count, 0);
-
-  // Compiled fast path: flat programs over the pre-fetched value plan,
-  // with a change-driven cache — a member none of whose input signals
-  // changed since its last evaluation reuses the cached verdicts (the
-  // enable's and every condition arm's).
-  auto evaluate_member_compiled = [&](size_t position) {
-    // Fork/join: the sim thread holds state_mutex_ until the job drains.
-    state_mutex_.assert_held();
-    const size_t member = batch.members[position];
+  // Fig. 2 step 2, one member after another on the calling thread: a
+  // compiled condition costs ~130 ns, far below what waking a worker
+  // thread costs (README "Sequential batch evaluation").
+  EvalCounts counts;
+  for (const size_t member : batch.members) {
     Breakpoint& bp = breakpoints_[member];
-    if (respect_inserted && !bp.inserted) return;
-    const bool need_cond = respect_inserted && !bp.conditions.empty();
-    const bool has_work = bp.compiled_enable.has_value() || need_cond;
-    if (bp.eval_serial == 0 || deps_serial(bp.dep_slots) > bp.eval_serial) {
-      // Inputs changed: every cached verdict is stale.
-      bp.cached = 0;
-      for (auto& arm : bp.conditions) arm.cached = 0;
-    }
-    bool did_eval = false;
-    if ((bp.cached & kCacheHasEnable) == 0) {
-      // A faulting predicate (-1) behaves like the interpreted path's
-      // caught exception: the member does not hit.
-      const bool enable_true =
-          !bp.compiled_enable ||
-          eval_predicate(*bp.compiled_enable, plan_) == 1;
-      bp.cached |= kCacheHasEnable;
-      if (enable_true) bp.cached |= kCacheEnableTrue;
-      did_eval = bp.compiled_enable.has_value();
-    }
-    const bool enable_true = (bp.cached & kCacheEnableTrue) != 0;
-    bool hit = enable_true;
-    if (enable_true && need_cond) {
-      // Every arm is evaluated (no early exit): the matched set routes the
-      // stop to exactly the sessions whose own condition fired.
-      bp.matched.clear();
-      bool any = bp.uncond_refs > 0;
-      for (auto& arm : bp.conditions) {
-        if ((arm.cached & kArmHasVerdict) == 0) {
-          const bool value =
-              arm.compiled && eval_predicate(*arm.compiled, plan_) == 1;
-          arm.cached = kArmHasVerdict;
-          if (value) arm.cached |= kArmTrue;
-          did_eval = true;
-        }
-        if ((arm.cached & kArmTrue) != 0) {
-          any = true;
-          bp.matched.push_back(arm.text);
-        }
-      }
-      hit = any;
-    }
-    bp.eval_serial = plan_.serial;
-    if (did_eval) {
-      evaluated[position] = 1;
-    } else if (has_work) {
-      skipped[position] = 1;
-    }
-    // Step-mode hits bypass conditions: never leave a stale matched set
-    // behind for make_frame to pick up.
-    if (!need_cond) bp.matched.clear();
-    if (hit) fired[position] = 1;
-  };
-
-  // Interpreted reference path: tree walk per member through the
-  // string-keyed resolver.
-  auto evaluate_member_interpreted = [&](size_t position) {
-    state_mutex_.assert_held();
-    const size_t member = batch.members[position];
-    Breakpoint& bp = breakpoints_[member];
-    if (respect_inserted && !bp.inserted) return;
-    const bool need_cond = respect_inserted && !bp.conditions.empty();
-    if (bp.enable || need_cond) {
-      evaluated[position] = 1;
-    }
-    const auto resolver = breakpoint_resolver(bp);
-    if (!need_cond) bp.matched.clear();
-    try {
-      if (bp.enable && !bp.enable->evaluate_bool(resolver)) return;
-      if (need_cond) {
-        bp.matched.clear();
-        bool any = bp.uncond_refs > 0;
-        for (const auto& arm : bp.conditions) {
-          bool value = false;
-          try {
-            value = arm.expr && arm.expr->evaluate_bool(resolver);
-          } catch (const std::exception&) {
-            // This arm faults; other sessions' arms still decide.
-          }
-          if (value) {
-            any = true;
-            bp.matched.push_back(arm.text);
-          }
-        }
-        if (!any) return;
-      }
-      fired[position] = 1;
-    } catch (const std::exception&) {
-      // Unresolvable symbols (optimized away, trace without the signal):
-      // treat as not-hit, consistent with how debuggers degrade.
-    }
-  };
-
-  // Fig. 2 step 2: evaluate the batch in parallel.
-  if (compiled) {
-    pool_->parallel_for(count, evaluate_member_compiled);
-  } else {
-    pool_->parallel_for(count, evaluate_member_interpreted);
-  }
-
-  uint64_t evaluated_count = 0;
-  uint64_t skipped_count = 0;
-  for (size_t position = 0; position < count; ++position) {
-    evaluated_count += evaluated[position];
-    skipped_count += skipped[position];
-    if (fired[position]) hits.push_back(batch.members[position]);
+    const bool fired =
+        compiled ? evaluate_member_compiled_locked(bp, respect_inserted, counts)
+                 : evaluate_member_interpreted_locked(bp, respect_inserted,
+                                                      counts);
+    if (fired) hits.push_back(member);
   }
   stats_.batches_evaluated->add(1);
-  stats_.conditions_evaluated->add(evaluated_count);
-  stats_.dirty_skips->add(skipped_count);
-  if (skipped_count != 0) {
-    HGDB_TRACE_INSTANT("runtime", "dirty_skips", skipped_count);
+  stats_.conditions_evaluated->add(counts.evaluated);
+  stats_.dirty_skips->add(counts.skipped);
+  if (counts.skipped != 0) {
+    HGDB_TRACE_INSTANT("runtime", "dirty_skips", counts.skipped);
   }
   if (options_.collect_stats) {
     const uint64_t elapsed = elapsed_ns(t0);
     stats_.eval_ns->add(elapsed);
     stats_.batch_eval_ns->record(elapsed);
+  }
+}
+
+bool Runtime::evaluate_member_compiled_locked(Breakpoint& bp,
+                                              bool respect_inserted,
+                                              EvalCounts& counts) {
+  if (respect_inserted && !bp.inserted) return false;
+  const bool need_cond = respect_inserted && !bp.conditions.empty();
+  const bool has_work = bp.compiled_enable.has_value() || need_cond;
+  if (bp.eval_serial == 0 || deps_serial(bp.dep_slots) > bp.eval_serial) {
+    // Inputs changed: every cached verdict is stale.
+    bp.cached = 0;
+    for (auto& arm : bp.conditions) arm.cached = 0;
+  }
+  bool did_eval = false;
+  if ((bp.cached & kCacheHasEnable) == 0) {
+    // A faulting predicate (-1) behaves like the interpreted path's
+    // caught exception: the member does not hit.
+    const bool enable_true =
+        !bp.compiled_enable || eval_predicate(*bp.compiled_enable, plan_) == 1;
+    bp.cached |= kCacheHasEnable;
+    if (enable_true) bp.cached |= kCacheEnableTrue;
+    did_eval = bp.compiled_enable.has_value();
+  }
+  const bool enable_true = (bp.cached & kCacheEnableTrue) != 0;
+  bool hit = enable_true;
+  if (enable_true && need_cond) {
+    // Every arm is evaluated (no early exit): the matched set routes the
+    // stop to exactly the sessions whose own condition fired.
+    bp.matched.clear();
+    bool any = bp.uncond_refs > 0;
+    for (auto& arm : bp.conditions) {
+      if ((arm.cached & kArmHasVerdict) == 0) {
+        const bool value =
+            arm.compiled && eval_predicate(*arm.compiled, plan_) == 1;
+        arm.cached = kArmHasVerdict;
+        if (value) arm.cached |= kArmTrue;
+        did_eval = true;
+      }
+      if ((arm.cached & kArmTrue) != 0) {
+        any = true;
+        bp.matched.push_back(arm.text);
+      }
+    }
+    hit = any;
+  }
+  bp.eval_serial = plan_.serial;
+  if (did_eval) {
+    ++counts.evaluated;
+  } else if (has_work) {
+    ++counts.skipped;
+  }
+  // Step-mode hits bypass conditions: never leave a stale matched set
+  // behind for make_frame to pick up.
+  if (!need_cond) bp.matched.clear();
+  return hit;
+}
+
+bool Runtime::evaluate_member_interpreted_locked(Breakpoint& bp,
+                                                 bool respect_inserted,
+                                                 EvalCounts& counts) {
+  if (respect_inserted && !bp.inserted) return false;
+  const bool need_cond = respect_inserted && !bp.conditions.empty();
+  if (bp.enable || need_cond) ++counts.evaluated;
+  const auto resolver = breakpoint_resolver(bp);
+  if (!need_cond) bp.matched.clear();
+  try {
+    if (bp.enable && !bp.enable->evaluate_bool(resolver)) return false;
+    if (!need_cond) return true;
+    bp.matched.clear();
+    bool any = bp.uncond_refs > 0;
+    for (const auto& arm : bp.conditions) {
+      bool value = false;
+      try {
+        value = arm.expr && arm.expr->evaluate_bool(resolver);
+      } catch (const std::exception&) {
+        // This arm faults; other sessions' arms still decide.
+      }
+      if (value) {
+        any = true;
+        bp.matched.push_back(arm.text);
+      }
+    }
+    return any;
+  } catch (const std::exception&) {
+    // Unresolvable symbols (optimized away, trace without the signal):
+    // treat as not-hit, consistent with how debuggers degrade.
+    return false;
   }
 }
 

@@ -2,6 +2,7 @@
 #define HGDB_RUNTIME_RUNTIME_H
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -14,7 +15,6 @@
 #include "rpc/channel.h"
 #include "rpc/protocol.h"
 #include "runtime/expression.h"
-#include "runtime/thread_pool.h"
 #include "symbols/symbol_table.h"
 #include "vpi/hierarchy.h"
 #include "vpi/sim_interface.h"
@@ -26,8 +26,9 @@ class SessionManager;
 namespace hgdb::runtime {
 
 struct RuntimeOptions {
-  /// Threads used to evaluate a breakpoint batch in parallel (Fig. 2 step
-  /// 2). 1 = sequential; 0 = a small automatic default.
+  /// Ignored: batches are always evaluated on the simulation thread.
+  /// Kept only because the perfbench load generator, which is versioned
+  /// with the benchmark, still sets and reports it.
   size_t eval_threads = 0;
   /// Collect per-edge statistics (cheap counters).
   bool collect_stats = true;
@@ -70,7 +71,7 @@ struct RuntimeOptions {
 /// at clock edges with the Fig. 2 scheduling loop:
 ///
 ///   @(posedge clk): fetch the next batch of breakpoints sharing a source
-///   location -> evaluate enable + user conditions in parallel -> if any
+///   location -> evaluate enable + user conditions -> if any
 ///   hit, reconstruct stack frames and notify the debugger -> wait for a
 ///   command -> repeat; exit the loop when no batch is left.
 ///
@@ -273,9 +274,7 @@ class Runtime {
   /// arming the same condition text hold one CompiledExpression (CSE via
   /// the normalized-AST program cache) with per-instance slot maps
   /// (`bindings`). `ptrs` and `scratch` are per-predicate evaluation
-  /// state — a batch member is evaluated by exactly one pool thread and
-  /// CompiledExpression::evaluate is const over the program, so no further
-  /// synchronization is needed.
+  /// state, written only under state_mutex_.
   struct CompiledPredicate {
     std::shared_ptr<const CompiledExpression> expr;
     std::vector<SlotBinding> bindings;
@@ -313,7 +312,7 @@ class Runtime {
     uint64_t eval_serial = 0;  ///< 0 = no cached result
     uint8_t cached = 0;        ///< kCacheHasEnable | kCacheEnableTrue
     /// Condition texts that matched at the last hit (scratch; written by
-    /// the evaluating pool thread, read by make_frame on the sim thread).
+    /// evaluate_batch, read by make_frame).
     std::vector<std::string> matched;
   };
 
@@ -403,6 +402,23 @@ class Runtime {
   /// Evaluates one batch; fills `hits` with member indexes that fired.
   void evaluate_batch(const Batch& batch, bool respect_inserted,
                       std::vector<size_t>& hits);
+  /// Per-batch evaluation counts, accumulated in member order.
+  struct EvalCounts {
+    uint64_t evaluated = 0;  ///< members whose conditions ran
+    uint64_t skipped = 0;    ///< members answered from the change cache
+  };
+  /// One batch member through the compiled plan and its change-driven
+  /// cache: a member none of whose input signals changed since its last
+  /// evaluation reuses the cached verdicts. True if it fires.
+  bool evaluate_member_compiled_locked(Breakpoint& bp, bool respect_inserted,
+                                       EvalCounts& counts)
+      HGDB_REQUIRES(state_mutex_);
+  /// Interpreted reference path: a tree walk per member through the
+  /// string-keyed resolver. True if it fires.
+  bool evaluate_member_interpreted_locked(Breakpoint& bp,
+                                          bool respect_inserted,
+                                          EvalCounts& counts)
+      HGDB_REQUIRES(state_mutex_);
   /// Evaluates every armed watchpoint (batch path); appends change hits.
   void collect_watch_hits(std::vector<rpc::WatchHit>& hits);
   rpc::StopEvent make_stop_event(uint64_t time, const std::vector<size_t>& hits);
@@ -484,12 +500,8 @@ class Runtime {
   std::map<int64_t, std::string> instance_names_;
   std::optional<vpi::HierarchyMapper> mapper_;
   std::optional<uint64_t> callback_handle_;
-  std::unique_ptr<ThreadPool> pool_;
 
-  // Scheduler state (sim thread + service threads). Pool workers inside
-  // ThreadPool::parallel_for access the guarded members under the *parent*
-  // thread's hold (fork/join: the parent blocks until the job drains) and
-  // assert the capability via state_mutex_.assert_held().
+  // Scheduler state (sim thread + service threads).
   mutable common::StateMutex state_mutex_{"runtime::state"};
   std::atomic<bool> any_inserted_{false};
   std::atomic<bool> any_watch_{false};

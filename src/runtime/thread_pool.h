@@ -1,57 +1,16 @@
 #ifndef HGDB_RUNTIME_THREAD_POOL_H
 #define HGDB_RUNTIME_THREAD_POOL_H
 
-#include <atomic>
-#include <condition_variable>
-#include <functional>
-#include <thread>
-#include <vector>
-
-#include "common/checked_mutex.h"
+#include <cstddef>
 
 namespace hgdb::runtime {
 
-/// Minimal fork-join pool used by the Fig. 2 scheduler to "evaluate each
-/// breakpoint condition in parallel". One job at a time; the calling
-/// thread participates in the work, so a pool of size 1 degenerates to
-/// sequential evaluation with no synchronization overhead on the workers.
-class ThreadPool {
- public:
-  /// Jobs with at most this many items run inline on the caller: waking
-  /// workers costs microseconds, which dwarfs a handful of compiled
-  /// condition evaluations. Single-breakpoint designs therefore never pay
-  /// wake-up latency on the clock-edge path.
+/// Not a thread pool: breakpoint batches are evaluated on the simulation
+/// thread. This name survives only because the perfbench load generator,
+/// which is versioned with the benchmark, counts batches larger than this
+/// cutoff as `runtime.pooled_batches`.
+struct ThreadPool {
   static constexpr size_t kDefaultSerialCutoff = 4;
-
-  explicit ThreadPool(size_t threads,
-                      size_t serial_cutoff = kDefaultSerialCutoff);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] size_t size() const { return workers_.size() + 1; }
-  [[nodiscard]] size_t serial_cutoff() const { return serial_cutoff_; }
-
-  /// Runs fn(0) .. fn(n-1), partitioned over all threads; blocks until
-  /// every call returns. fn must be safe to call concurrently. Jobs of at
-  /// most serial_cutoff() items are dispatched inline on the caller.
-  void parallel_for(size_t n, const std::function<void(size_t)>& fn);
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  size_t serial_cutoff_;
-  common::PoolMutex mutex_{"pool::work"};
-  std::condition_variable_any work_ready_;
-  std::condition_variable_any work_done_;
-  const std::function<void(size_t)>* job_ HGDB_GUARDED_BY(mutex_) = nullptr;
-  size_t job_size_ HGDB_GUARDED_BY(mutex_) = 0;
-  uint64_t generation_ HGDB_GUARDED_BY(mutex_) = 0;
-  std::atomic<size_t> next_index_{0};
-  std::atomic<size_t> active_workers_{0};
-  bool shutdown_ HGDB_GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace hgdb::runtime

@@ -37,8 +37,8 @@ namespace hgdb::waveform {
 /// aliased name are served through the canonical signal's directory.
 ///
 /// Thread-safe for concurrent queries (one mutex around the cache + read
-/// scratch; the debugger runtime evaluates breakpoint batches from a
-/// pool).
+/// scratch), as WaveformSource promises; kept pending a TSan proof that
+/// only one thread at a time reads it (ROADMAP item 1(c)).
 class IndexedWaveform final : public WaveformSource {
  public:
   static constexpr size_t kDefaultCacheBlocks = waveform::kDefaultCacheBlocks;

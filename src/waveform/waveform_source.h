@@ -32,8 +32,10 @@ inline constexpr size_t kDefaultCacheBlocks = 64;
 ///                             bounded by the cache capacity — the
 ///                             production-scale backend.
 ///
-/// Implementations must be safe for concurrent value_at() calls: the
-/// runtime's breakpoint batches evaluate conditions from a thread pool.
+/// Implementations must be safe for concurrent value_at() calls. The
+/// runtime reads a source from the simulation thread and serves session
+/// requests while the simulation is parked; the promise is kept pending a
+/// TSan proof that no other thread reads it (ROADMAP item 1(c)).
 class WaveformSource {
  public:
   virtual ~WaveformSource() = default;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <string>
+
 #include "frontend/compile.h"
 #include "ir/parser.h"
 #include "sim/simulator.h"
@@ -231,13 +235,10 @@ TEST_F(RuntimeTest, DetachSilencesCallbacks) {
 }
 
 TEST_F(RuntimeTest, SequentialEvalMatchesParallel) {
-  // Ablation hook: 1-thread pool must produce identical stops.
-  RuntimeOptions options;
-  options.eval_threads = 1;
-  build(kDemo, options);
+  // Default options: line 9 stops on each of its 5 enabled cycles.
   runtime_->add_breakpoint("demo.cc", 9);
   auto stops = run_collecting(8);
-  EXPECT_EQ(stops.size(), 5u);  // same as the parallel-pool run
+  EXPECT_EQ(stops.size(), 5u);
 }
 
 // -- concurrent instances: the paper's Fig. 4 B "threads" ----------------------
@@ -297,6 +298,76 @@ TEST_F(RuntimeTest, ConditionSelectsSingleInstance) {
   simulator_->run(2);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].instance_name, "Top.w1");
+}
+
+/// Threads of this process, from the kernel's per-task directory.
+size_t thread_count() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST_F(RuntimeTest, SixteenInstanceBatchSpawnsNoThreads) {
+  // One source line, sixteen instances: a batch large enough that a
+  // parallel evaluator would dispatch it to worker threads.
+  std::string text = R"(circuit Top
+  module Worker
+    input clock : Clock
+    input bias : UInt<8>
+    output out : UInt<8>
+    reg acc : UInt<8> clock clock
+    connect acc = add(acc, bias) @[worker.cc 3 1]
+    connect out = acc @[worker.cc 4 1]
+  end
+  module Top
+    input clock : Clock
+    output out : UInt<8>
+)";
+  constexpr int kInstances = 16;
+  for (int i = 0; i < kInstances; ++i) {
+    text += "    inst w" + std::to_string(i) + " of Worker\n";
+  }
+  for (int i = 0; i < kInstances; ++i) {
+    const std::string w = "w" + std::to_string(i);
+    text += "    connect " + w + ".clock = clock\n";
+    text += "    connect " + w + ".bias = UInt<8>(" + std::to_string(i + 1) +
+            ")\n";
+  }
+  text += "    connect out = w0.out\n  end\nend\n";
+
+  runtime_.reset();  // count from before any runtime exists
+  const size_t threads_before = thread_count();
+  build(text.c_str());
+  const auto ids = runtime_->add_breakpoint("worker.cc", 3, "acc % 2 == 0");
+  ASSERT_EQ(ids.size(), static_cast<size_t>(kInstances));
+  std::vector<std::vector<int64_t>> stops;
+  runtime_->set_stop_handler([&](const rpc::StopEvent& event) {
+    std::vector<int64_t> frame_ids;
+    for (const auto& frame : event.frames) {
+      frame_ids.push_back(frame.breakpoint_id);
+    }
+    stops.push_back(std::move(frame_ids));
+    return Command::Continue;
+  });
+  simulator_->run(100);
+  EXPECT_EQ(thread_count(), threads_before);
+
+  // Every stop lists the instances that fired in member order.
+  ASSERT_FALSE(stops.empty());
+  size_t full_stops = 0;
+  for (const auto& frame_ids : stops) {
+    auto next = ids.begin();
+    for (const int64_t id : frame_ids) {
+      next = std::find(next, ids.end(), id);
+      ASSERT_NE(next, ids.end()) << "frame " << id << " out of member order";
+      ++next;
+    }
+    if (frame_ids == ids) ++full_stops;
+  }
+  EXPECT_GT(full_stops, 0u);
 }
 
 TEST_F(RuntimeTest, HierarchicalEvaluatePerInstance) {

@@ -183,11 +183,6 @@ class BlockingChecker:
         self.nonblocking_functions = {
             entry["function"]
             for entry in contracts.get("nonblocking_functions", [])}
-        # bounded fork-join barriers: they do block, but only on work the
-        # caller itself scheduled — exempt from may-block propagation
-        self.nonblocking_functions |= {
-            entry["function"]
-            for entry in contracts.get("bounded_join_functions", [])}
         self.may_block: dict[str, bool] = {}
         self.block_reason: dict[str, str] = {}
 
