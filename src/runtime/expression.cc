@@ -1,6 +1,7 @@
 #include "runtime/expression.h"
 
 #include <cctype>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -45,6 +46,12 @@ Expression& Expression::operator=(Expression&&) noexcept = default;
 Expression::~Expression() = default;
 
 namespace {
+
+/// Widest value an expression may construct (typed literal or pad
+/// target): IEEE 1364's minimum supported vector size. Expression text
+/// comes from debugger clients, so an unchecked width would let one
+/// request allocate gigabytes.
+constexpr uint64_t kMaxWidth = 1u << 16;
 
 // ---------------------------------------------------------------------------
 // Lexer
@@ -108,13 +115,17 @@ class Lexer {
     if ((name == "UInt" || name == "SInt") && pos_ < text_.size() &&
         text_[pos_] == '<') {
       ++pos_;
-      const uint32_t width = static_cast<uint32_t>(lex_raw_int());
+      const int64_t width = lex_raw_int();
+      if (width < 1 || static_cast<uint64_t>(width) > kMaxWidth) {
+        fail("literal width must be 1.." + std::to_string(kMaxWidth));
+      }
       expect('>');
       expect('(');
       const int64_t value = lex_raw_int();
       expect(')');
       current_.kind = Token::Kind::TypedLiteral;
-      current_.value = BitVector(width, static_cast<uint64_t>(value));
+      current_.value =
+          BitVector(static_cast<uint32_t>(width), static_cast<uint64_t>(value));
       current_.is_signed = name == "SInt";
       return;
     }
@@ -176,7 +187,11 @@ class Lexer {
     int64_t value = 0;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      value = value * 10 + (text_[pos_] - '0');
+      const int digit = text_[pos_] - '0';
+      if (value > (std::numeric_limits<int64_t>::max() - digit) / 10) {
+        fail("integer too large");
+      }
+      value = value * 10 + digit;
       ++pos_;
     }
     return negative ? -value : value;
@@ -404,8 +419,13 @@ class Parser {
                                     std::string(ir::prim_op_name(node.op)) +
                                     " parameters must be integer literals");
       }
-      node.int_params.push_back(
-          static_cast<uint32_t>(node.children[i]->literal.to_uint64()));
+      const uint64_t param = node.children[i]->literal.to_uint64();
+      if (node.op == PrimOp::Pad && param > kMaxWidth) {
+        throw std::invalid_argument(
+            "expression error: pad width must be at most " +
+            std::to_string(kMaxWidth));
+      }
+      node.int_params.push_back(static_cast<uint32_t>(param));
     }
     node.children.resize(node.children.size() - param_count);
   }
@@ -579,10 +599,6 @@ Expression Expression::parse(const std::string& text) {
 
 BitVector Expression::evaluate(const Resolver& resolver) const {
   return evaluate_node(*root_, resolver).bits;
-}
-
-bool Expression::evaluate_bool(const Resolver& resolver) const {
-  return evaluate(resolver).to_bool();
 }
 
 namespace {

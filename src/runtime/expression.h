@@ -27,12 +27,13 @@ class CompiledExpression;
 /// verbatim against symbol names), decimal/hex numbers, and typed literals
 /// like UInt<8>(42).
 ///
-/// Parsing happens once (at breakpoint insertion). Two evaluators exist:
-///  - evaluate(): the interpreted tree walk over a caller-supplied name
-///    resolver — the *reference implementation*, used for one-off
-///    evaluation and as the differential-testing oracle;
-///  - compile(): lowers the AST into a CompiledExpression, the flat
-///    register program the scheduler hot loop runs on every clock edge.
+/// Parsing happens once (at breakpoint insertion). compile() lowers the
+/// AST into a CompiledExpression, the flat register program the runtime
+/// runs for every condition, watchpoint and one-off evaluation.
+/// evaluate() is the interpreted tree walk over a caller-supplied name
+/// resolver: the *reference implementation* that the differential tests
+/// and the expression fuzz harness compare compiled results against. The
+/// runtime never calls it.
 class Expression {
  public:
   using Resolver =
@@ -49,8 +50,6 @@ class Expression {
   /// Evaluates against a resolver. Throws std::runtime_error if a name
   /// cannot be resolved.
   [[nodiscard]] common::BitVector evaluate(const Resolver& resolver) const;
-  /// Convenience: evaluate and coerce to bool.
-  [[nodiscard]] bool evaluate_bool(const Resolver& resolver) const;
 
   /// Lowers the AST to a flat register-machine program whose name operands
   /// are integer slots (see CompiledExpression).

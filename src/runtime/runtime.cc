@@ -312,19 +312,18 @@ int64_t Runtime::add_watchpoint(const std::string& expression,
                               "')");
     }
   }
-  // Baseline: the current value, so the watch fires on the next change
-  // rather than immediately. Expressions that fault now (e.g. a bad bit
-  // slice) baseline on the first successful evaluation instead.
-  try {
-    wp.last = wp.expr.evaluate(instance_resolver(instance_id, name));
-  } catch (const std::exception&) {
-  }
-
   wp.id = next_watch_id_++;
   const int64_t id = wp.id;
   watchpoints_.push_back(std::move(wp));
   any_watch_.store(true, std::memory_order_release);
   rebuild_plan_locked();
+  // Baseline: the current value, so the watch fires on the next change
+  // rather than immediately. The rebuild above cached the program, so
+  // this binds and fetches without compiling again. Expressions that
+  // fault now (e.g. a bad bit slice) baseline on the first successful
+  // evaluation instead.
+  Watchpoint& armed = watchpoints_.back();
+  armed.last = evaluate_compiled(armed.expr, nullptr, instance_id, name);
   return id;
 }
 
@@ -354,38 +353,28 @@ void Runtime::collect_watch_hits(std::vector<rpc::WatchHit>& hits) {
                       ? std::chrono::steady_clock::now()
                       : std::chrono::steady_clock::time_point{};
 
-  const bool compiled = options_.compiled_eval;
-  if (compiled) ensure_edge_values_locked();
+  ensure_edge_values_locked();
 
-  // In compiled mode a watchpoint none of whose input signals changed
-  // since its last evaluation is skipped outright — its value cannot have
-  // changed, so it cannot fire.
+  // A watchpoint none of whose input signals changed since its last
+  // evaluation is skipped outright — its value cannot have changed, so it
+  // cannot fire.
   EvalCounts counts;
   for (auto& wp : watchpoints_) {
-    std::optional<BitVector> current;
-    if (compiled && wp.compiled) {
-      if (wp.eval_serial != 0 && deps_serial(wp.dep_slots) <= wp.eval_serial) {
-        ++counts.skipped;
-        continue;
-      }
-      const BitVector* value = eval_predicate_value(*wp.compiled, plan_);
-      if (value != nullptr) current = *value;
-      wp.eval_serial = plan_.serial;
-    } else {
-      try {
-        current = wp.expr.evaluate(
-            instance_resolver(wp.instance_id, wp.instance_name));
-      } catch (const std::exception&) {
-        // Unresolvable this edge: no value, so no change is reported.
-      }
+    if (wp.eval_serial != 0 && deps_serial(wp.dep_slots) <= wp.eval_serial) {
+      ++counts.skipped;
+      continue;
     }
+    const BitVector* current = eval_predicate_value(*wp.compiled, plan_);
+    wp.eval_serial = plan_.serial;
     ++counts.evaluated;
-    if (!current) continue;
+    // Unavailable or faulting this edge: no value, so no change is
+    // reported.
+    if (current == nullptr) continue;
     if (wp.last && *wp.last != *current) {
       hits.push_back(
           rpc::WatchHit{wp.id, wp.text, render(*wp.last), render(*current)});
     }
-    wp.last = std::move(current);
+    wp.last = *current;
   }
   stats_.watchpoints_evaluated->add(counts.evaluated);
   stats_.dirty_skips->add(counts.skipped);
@@ -544,34 +533,6 @@ std::string Runtime::to_design_name(const std::string& symbol_name) const {
   return symbol_name;
 }
 
-Expression::Resolver Runtime::breakpoint_resolver(const Breakpoint& bp) const {
-  return [this, &bp](const std::string& name) -> std::optional<BitVector> {
-    // 1. frame locals (scope variables)
-    if (auto variable = table_->resolve_scope_variable(bp.row.id, name)) {
-      if (!variable->is_rtl) {
-        return BitVector::from_string(variable->value);
-      }
-      return interface_->get_value(
-          to_design_name(bp.instance_name + "." + variable->value));
-    }
-    // 2. generator (instance) variables
-    if (auto variable =
-            table_->resolve_generator_variable(bp.row.instance_id, name)) {
-      if (!variable->is_rtl) return BitVector::from_string(variable->value);
-      return interface_->get_value(
-          to_design_name(bp.instance_name + "." + variable->value));
-    }
-    // 3. instance-relative RTL name (this is how SSA enable conditions
-    //    resolve: they are written over instance-relative node names)
-    if (auto value = interface_->get_value(
-            to_design_name(bp.instance_name + "." + name))) {
-      return value;
-    }
-    // 4. absolute hierarchical name
-    return interface_->get_value(name);
-  };
-}
-
 std::optional<std::pair<int64_t, std::string>> Runtime::resolve_instance(
     const std::string& name) const {
   if (name.empty()) {
@@ -590,24 +551,6 @@ std::optional<std::pair<int64_t, std::string>> Runtime::resolve_instance(
     return std::make_pair(row->id, name);
   }
   return std::nullopt;
-}
-
-Expression::Resolver Runtime::instance_resolver(
-    int64_t instance_id, const std::string& instance_name) const {
-  return [this, instance_id,
-          instance_name](const std::string& name) -> std::optional<BitVector> {
-    if (auto variable =
-            table_->resolve_generator_variable(instance_id, name)) {
-      if (!variable->is_rtl) return BitVector::from_string(variable->value);
-      return interface_->get_value(
-          to_design_name(instance_name + "." + variable->value));
-    }
-    if (auto value = interface_->get_value(
-            to_design_name(instance_name + "." + name))) {
-      return value;
-    }
-    return interface_->get_value(name);
-  };
 }
 
 // ---------------------------------------------------------------------------
@@ -656,7 +599,6 @@ std::optional<Runtime::SlotBinding> Runtime::resolve_binding(
     }
   };
 
-  // Resolution order mirrors the interpreted resolvers exactly:
   // 1. frame locals (breakpoint scope only)
   if (scope_bp != nullptr) {
     if (auto variable =
@@ -741,11 +683,10 @@ void Runtime::rebuild_plan_locked() {
       arm.compiled.reset();
       arm.cached = 0;
     }
-    if (!options_.compiled_eval) continue;
     if (bp.enable) {
       // Enables come from the symbol table; one referencing an
-      // optimized-away signal poisons the predicate (never hits), exactly
-      // like the interpreted resolver's unresolved-name exception did.
+      // optimized-away signal poisons the predicate, so the member never
+      // hits.
       bp.compiled_enable =
           bind_predicate(*bp.enable, &bp, bp.row.instance_id,
                          bp.instance_name, &plan_, &bp.dep_slots, false);
@@ -765,7 +706,6 @@ void Runtime::rebuild_plan_locked() {
     wp.compiled.reset();
     wp.dep_slots.clear();
     wp.eval_serial = 0;
-    if (!options_.compiled_eval) continue;
     wp.compiled = bind_predicate(wp.expr, nullptr, wp.instance_id,
                                  wp.instance_name, &plan_, &wp.dep_slots,
                                  false);
@@ -773,8 +713,8 @@ void Runtime::rebuild_plan_locked() {
     wp.dep_slots.erase(std::unique(wp.dep_slots.begin(), wp.dep_slots.end()),
                        wp.dep_slots.end());
   }
-  // Subscribed signals join the same plan (and the same batched fetch) in
-  // either evaluation mode; their change events ride the plan serials.
+  // Subscribed signals join the same plan (and the same batched fetch);
+  // their change events ride the plan serials.
   for (auto& sub : subscriptions_) {
     sub.slots.assign(sub.names.size(), -1);
     sub.constants.assign(sub.names.size(), std::nullopt);
@@ -1113,20 +1053,17 @@ void Runtime::evaluate_batch(const Batch& batch, bool respect_inserted,
   const auto t0 = options_.collect_stats
                       ? std::chrono::steady_clock::now()
                       : std::chrono::steady_clock::time_point{};
-  const bool compiled = options_.compiled_eval;
-  if (compiled) ensure_edge_values_locked();
+  ensure_edge_values_locked();
 
   // Fig. 2 step 2, one member after another on the calling thread: a
   // compiled condition costs ~130 ns, far below what waking a worker
   // thread costs (README "Sequential batch evaluation").
   EvalCounts counts;
   for (const size_t member : batch.members) {
-    Breakpoint& bp = breakpoints_[member];
-    const bool fired =
-        compiled ? evaluate_member_compiled_locked(bp, respect_inserted, counts)
-                 : evaluate_member_interpreted_locked(bp, respect_inserted,
-                                                      counts);
-    if (fired) hits.push_back(member);
+    if (evaluate_member_locked(breakpoints_[member], respect_inserted,
+                               counts)) {
+      hits.push_back(member);
+    }
   }
   stats_.batches_evaluated->add(1);
   stats_.conditions_evaluated->add(counts.evaluated);
@@ -1141,9 +1078,8 @@ void Runtime::evaluate_batch(const Batch& batch, bool respect_inserted,
   }
 }
 
-bool Runtime::evaluate_member_compiled_locked(Breakpoint& bp,
-                                              bool respect_inserted,
-                                              EvalCounts& counts) {
+bool Runtime::evaluate_member_locked(Breakpoint& bp, bool respect_inserted,
+                                     EvalCounts& counts) {
   if (respect_inserted && !bp.inserted) return false;
   const bool need_cond = respect_inserted && !bp.conditions.empty();
   const bool has_work = bp.compiled_enable.has_value() || need_cond;
@@ -1154,8 +1090,8 @@ bool Runtime::evaluate_member_compiled_locked(Breakpoint& bp,
   }
   bool did_eval = false;
   if ((bp.cached & kCacheHasEnable) == 0) {
-    // A faulting predicate (-1) behaves like the interpreted path's
-    // caught exception: the member does not hit.
+    // A faulting or unavailable predicate (-1) counts as false: the
+    // member does not hit.
     const bool enable_true =
         !bp.compiled_enable || eval_predicate(*bp.compiled_enable, plan_) == 1;
     bp.cached |= kCacheHasEnable;
@@ -1194,39 +1130,6 @@ bool Runtime::evaluate_member_compiled_locked(Breakpoint& bp,
   // behind for make_frame to pick up.
   if (!need_cond) bp.matched.clear();
   return hit;
-}
-
-bool Runtime::evaluate_member_interpreted_locked(Breakpoint& bp,
-                                                 bool respect_inserted,
-                                                 EvalCounts& counts) {
-  if (respect_inserted && !bp.inserted) return false;
-  const bool need_cond = respect_inserted && !bp.conditions.empty();
-  if (bp.enable || need_cond) ++counts.evaluated;
-  const auto resolver = breakpoint_resolver(bp);
-  if (!need_cond) bp.matched.clear();
-  try {
-    if (bp.enable && !bp.enable->evaluate_bool(resolver)) return false;
-    if (!need_cond) return true;
-    bp.matched.clear();
-    bool any = bp.uncond_refs > 0;
-    for (const auto& arm : bp.conditions) {
-      bool value = false;
-      try {
-        value = arm.expr && arm.expr->evaluate_bool(resolver);
-      } catch (const std::exception&) {
-        // This arm faults; other sessions' arms still decide.
-      }
-      if (value) {
-        any = true;
-        bp.matched.push_back(arm.text);
-      }
-    }
-    return any;
-  } catch (const std::exception&) {
-    // Unresolvable symbols (optimized away, trace without the signal):
-    // treat as not-hit, consistent with how debuggers degrade.
-    return false;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1363,16 +1266,10 @@ std::optional<BitVector> Runtime::evaluate(const std::string& expression,
       instance_id = instance->first;
       scope_instance = instance->second;
     }
-    if (options_.compiled_eval) {
-      // One-off `evaluate`/`evaluate-batch` requests ride the same
-      // compiled pipeline the scheduler runs, so the protocol exercises
-      // exactly the code the hot loop trusts.
-      return evaluate_compiled(parsed, scope_bp, instance_id, scope_instance);
-    }
-    const Expression::Resolver resolver =
-        scope_bp != nullptr ? breakpoint_resolver(*scope_bp)
-                            : instance_resolver(instance_id, scope_instance);
-    return parsed.evaluate(resolver);
+    // One-off `evaluate`/`evaluate-batch` requests ride the same compiled
+    // pipeline the scheduler runs, so the protocol exercises exactly the
+    // code the hot loop trusts.
+    return evaluate_compiled(parsed, scope_bp, instance_id, scope_instance);
   } catch (const std::exception&) {
     return std::nullopt;
   }

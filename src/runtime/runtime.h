@@ -32,15 +32,6 @@ struct RuntimeOptions {
   size_t eval_threads = 0;
   /// Collect per-edge statistics (cheap counters).
   bool collect_stats = true;
-  /// Evaluate breakpoint/watchpoint conditions through the compiled
-  /// expression engine: symbols slot-resolved at arm time, the union of
-  /// referenced signals fetched once per edge through the backend's
-  /// batched-read entry point, and members whose inputs did not change
-  /// since the last edge skipped entirely. false falls back to the
-  /// interpreted tree walk per member — kept as the reference
-  /// implementation for differential testing and as the Fig. 5 bench
-  /// baseline.
-  bool compiled_eval = true;
   /// Accept limit for the session layer: debugger clients (native or DAP)
   /// beyond this count are rejected with a typed `too-many-sessions`
   /// error. 0 = unlimited.
@@ -230,7 +221,7 @@ class Runtime {
     /// Nanoseconds spent evaluating conditions/watchpoints (batch bodies).
     uint64_t eval_ns = 0;
     /// Members/watchpoints skipped because none of their input signals
-    /// changed since their cached result (compiled mode only).
+    /// changed since their cached result.
     uint64_t dirty_skips = 0;
     /// Batched signal-fetch rounds issued to the backend.
     uint64_t batch_fetches = 0;
@@ -304,7 +295,7 @@ class Runtime {
     std::vector<CondArm> conditions;
     bool inserted = false;        ///< any arm (uncond or conditional) held
 
-    // Compiled-mode state (rebuilt by rebuild_plan_locked).
+    // Compiled state (rebuilt by rebuild_plan_locked).
     std::optional<CompiledPredicate> compiled_enable;
     std::vector<uint32_t> dep_slots;  ///< plan slots feeding any expr
     // Change-driven cache: results computed at plan serial eval_serial
@@ -358,7 +349,7 @@ class Runtime {
     std::string instance_name;
     std::optional<common::BitVector> last;
 
-    // Compiled-mode state (rebuilt by rebuild_plan_locked).
+    // Compiled state (rebuilt by rebuild_plan_locked).
     std::optional<CompiledPredicate> compiled;
     std::vector<uint32_t> dep_slots;
     uint64_t eval_serial = 0;
@@ -410,15 +401,8 @@ class Runtime {
   /// One batch member through the compiled plan and its change-driven
   /// cache: a member none of whose input signals changed since its last
   /// evaluation reuses the cached verdicts. True if it fires.
-  bool evaluate_member_compiled_locked(Breakpoint& bp, bool respect_inserted,
-                                       EvalCounts& counts)
-      HGDB_REQUIRES(state_mutex_);
-  /// Interpreted reference path: a tree walk per member through the
-  /// string-keyed resolver. True if it fires.
-  bool evaluate_member_interpreted_locked(Breakpoint& bp,
-                                          bool respect_inserted,
-                                          EvalCounts& counts)
-      HGDB_REQUIRES(state_mutex_);
+  bool evaluate_member_locked(Breakpoint& bp, bool respect_inserted,
+                              EvalCounts& counts) HGDB_REQUIRES(state_mutex_);
   /// Evaluates every armed watchpoint (batch path); appends change hits.
   void collect_watch_hits(std::vector<rpc::WatchHit>& hits);
   rpc::StopEvent make_stop_event(uint64_t time, const std::vector<size_t>& hits);
@@ -428,31 +412,30 @@ class Runtime {
   /// Requests one cycle of reverse time travel; true on success.
   bool rewind_one_cycle(uint64_t time);
 
-  Expression::Resolver breakpoint_resolver(const Breakpoint& bp) const;
-  Expression::Resolver instance_resolver(int64_t instance_id,
-                                         const std::string& instance_name) const;
-
   // -- compiled evaluation pipeline -------------------------------------------
-  /// Arm-time symbol resolution: the slot analogue of the interpreted
-  /// resolvers. Returns the binding (constant or design-signal name) for
-  /// `name` in the given scope, or nullopt when unresolvable. `scope_bp`
-  /// nullptr = instance scope.
+  /// Arm-time symbol resolution. `name` is looked up, first match wins,
+  /// as a frame local of `scope_bp` (breakpoint scope only), a generator
+  /// variable of the instance, an instance-relative RTL name, and last an
+  /// absolute hierarchical name. Non-RTL table variables fold to
+  /// constants; RTL names become plan slots. Returns nullopt when no step
+  /// matches. `scope_bp` nullptr = instance scope.
   [[nodiscard]] std::optional<SlotBinding> resolve_binding(
       const Breakpoint* scope_bp, int64_t instance_id,
       const std::string& instance_name, const std::string& name,
       EvalPlan* plan) HGDB_REQUIRES(state_mutex_);
-  /// Compiles `expr` and resolves every symbol against `plan` (growing
-  /// it); appends the referenced plan slots to `deps`. When
-  /// `require_resolved`, throws std::out_of_range naming the first
-  /// unresolvable symbol (arm-time typed error); otherwise the predicate
-  /// is returned poisoned and never fires — matching the interpreted
-  /// behaviour for stale symbol-table enables.
   /// Program lookup for bind_predicate: one shared CompiledExpression per
   /// normalized AST (compiling on first sight). `persist` = false reuses a
   /// cached program but never inserts — one-off protocol evaluations must
   /// not grow the cache without bound.
   std::shared_ptr<const CompiledExpression> compile_shared(
       const Expression& expr, bool persist) HGDB_REQUIRES(state_mutex_);
+  /// Compiles `expr` and resolves every symbol against `plan` (growing
+  /// it); appends the referenced plan slots to `deps`. When
+  /// `require_resolved`, throws std::out_of_range naming the first
+  /// unresolvable symbol (arm-time typed error); otherwise the predicate
+  /// is returned poisoned: it evaluates as unavailable and never fires,
+  /// which is how a symbol-table enable over an optimized-away signal
+  /// behaves.
   CompiledPredicate bind_predicate(const Expression& expr,
                                    const Breakpoint* scope_bp,
                                    int64_t instance_id,
@@ -476,8 +459,9 @@ class Runtime {
   /// Latest change serial across a dependency set.
   [[nodiscard]] uint64_t deps_serial(const std::vector<uint32_t>& deps) const
       HGDB_REQUIRES(state_mutex_);
-  /// One-off compiled evaluation used by evaluate(): binds against a
-  /// throwaway plan and fetches its values immediately.
+  /// One-off compiled evaluation used by evaluate() and the watchpoint
+  /// arm-time baseline: binds against a throwaway plan and fetches its
+  /// values immediately. nullopt when unresolvable or faulting.
   [[nodiscard]] std::optional<common::BitVector> evaluate_compiled(
       const Expression& parsed, const Breakpoint* scope_bp,
       int64_t instance_id, const std::string& instance_name)

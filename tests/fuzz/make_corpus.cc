@@ -1,6 +1,7 @@
 // Seed-corpus generator: emits one file per interesting wire shape into
 // the corpus directories, using the real encoders so seeds stay valid as
-// the formats evolve. Run manually after a wire-format change:
+// the formats evolve. Run manually after a wire-format or
+// expression-grammar change:
 //
 //   cmake --build build --target fuzz_make_corpus
 //   ./build/tests/fuzz_make_corpus tests/fuzz/corpus
@@ -8,14 +9,18 @@
 // The generated files are committed; ctest replays them (standalone
 // driver) and the CI fuzz-smoke job mutates from them (libFuzzer).
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
 #include "rpc/event_frame.h"
 #include "rpc/protocol_v2.h"
+#include "runtime/expression.h"
 #include "session/dap_protocol.h"
 #include "waveform/manifest.h"
 
@@ -35,6 +40,37 @@ struct Change {
   std::string value;
   uint32_t width = 0;
 };
+
+/// One fuzz_expression input: the text, a NUL, then per symbol in the
+/// compiled program's slot order a header byte (width - 1, or 0xff when
+/// the symbol is absent from `env`) and the value's little-endian bytes.
+/// Text that does not parse gets no environment.
+std::string expression_input(
+    const std::string& text,
+    const std::map<std::string, std::pair<uint32_t, uint64_t>>& env) {
+  std::string bytes = text;
+  bytes.push_back('\0');
+  std::vector<std::string> symbols;
+  try {
+    symbols = hgdb::runtime::Expression::parse(text).compile().symbols();
+  } catch (const std::invalid_argument&) {
+    return bytes;
+  }
+  for (const auto& symbol : symbols) {
+    const auto it = env.find(symbol);
+    if (it == env.end()) {
+      bytes.push_back(static_cast<char>(0xff));
+      continue;
+    }
+    const auto [width, value] = it->second;
+    bytes.push_back(static_cast<char>(width - 1));
+    for (uint32_t byte = 0; byte < (width + 7) / 8; ++byte) {
+      bytes.push_back(
+          static_cast<char>(byte < 8 ? (value >> (8 * byte)) & 0xff : 0));
+    }
+  }
+  return bytes;
+}
 
 }  // namespace
 
@@ -222,6 +258,43 @@ int main(int argc, char** argv) {
     std::string bad_magic = multi_bytes;
     bad_magic[0] = 'Z';
     write_file(dir + "bad_magic", bad_magic);
+  }
+
+  // -- expression: condition texts over derived environments -------------
+  {
+    const std::string dir = root + "/expression/";
+    const std::map<std::string, std::pair<uint32_t, uint64_t>> env = {
+        {"a", {8, 200}},         {"b", {8, 3}},
+        {"zero", {8, 0}},        {"sum", {16, 40000}},
+        {"data[0]", {8, 5}},     {"io.out.bits", {32, 0xdeadbeef}},
+        {"when_cond0", {1, 1}},  {"when_cond1", {1, 0}},
+        {"wide", {150, 0x0123456789abcdefull}},
+    };
+    write_file(dir + "user_condition",
+               expression_input("data[0] % 2 == 1 && sum > 10", env));
+    write_file(dir + "ssa_enable",
+               expression_input("and(when_cond0, not(when_cond1))", env));
+    write_file(dir + "typed_literals",
+               expression_input("UInt<8>(42) + SInt<4>(-3) == a", env));
+    write_file(dir + "wide_values",
+               expression_input("cat(wide, a) ^ pad(io.out.bits, 130)", env));
+    write_file(dir + "prim_calls",
+               expression_input("mux(orr(b), dshl(a, b), asSInt(neg(b)))",
+                                env));
+    write_file(dir + "shifts", expression_input("(0xff >> b) << 2 | ~a", env));
+    write_file(dir + "division_by_zero",
+               expression_input("a / zero + a % zero", env));
+    // Faults both evaluators must agree on.
+    write_file(dir + "bad_slice", expression_input("bits(a, 9, 0)", env));
+    write_file(dir + "unresolved", expression_input("ghost + 1", env));
+    write_file(dir + "short_circuit",
+               expression_input("zero && bits(a, 100, 0) || !b", env));
+    // Text the parser must reject with std::invalid_argument.
+    write_file(dir + "unbalanced", expression_input("a + (b", env));
+    write_file(dir + "bad_arity", expression_input("add(a)", env));
+    write_file(dir + "zero_width", expression_input("UInt<0>(1)", env));
+    write_file(dir + "negative_width", expression_input("UInt<-1>(0)", env));
+    write_file(dir + "huge_pad", expression_input("pad(a, 4294967296)", env));
   }
 
   std::cout << "seed corpus written under " << root << "\n";

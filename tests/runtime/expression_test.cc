@@ -94,8 +94,8 @@ TEST(Expression, BitwiseAndShifts) {
 TEST(Expression, ThePaperListingCondition) {
   // "data[0] % 2" — the enable condition from the paper's Listing 2.
   auto expression = Expression::parse("data[0] % 2");
-  EXPECT_TRUE(expression.evaluate_bool(env({{"data[0]", 3}})));
-  EXPECT_FALSE(expression.evaluate_bool(env({{"data[0]", 4}})));
+  EXPECT_TRUE(expression.evaluate(env({{"data[0]", 3}})).to_bool());
+  EXPECT_FALSE(expression.evaluate(env({{"data[0]", 4}})).to_bool());
 }
 
 TEST(Expression, IrCallSyntaxEnables) {
@@ -138,6 +138,16 @@ TEST(Expression, SyntaxErrors) {
   EXPECT_THROW(Expression::parse("a b"), std::invalid_argument);
   EXPECT_THROW(Expression::parse("a @ b"), std::invalid_argument);
   EXPECT_THROW(Expression::parse("bits(a, b, c)"), std::invalid_argument);
+  // Widths are capped at 65536 bits: condition text comes from clients.
+  EXPECT_THROW(Expression::parse("UInt<-1>(0)"), std::invalid_argument);
+  EXPECT_THROW(Expression::parse("UInt<65537>(0)"), std::invalid_argument);
+  EXPECT_THROW(Expression::parse("UInt<99999999999999999999>(1)"),
+               std::invalid_argument);
+  EXPECT_THROW(Expression::parse("pad(a, 65537)"), std::invalid_argument);
+  EXPECT_EQ(Expression::parse("pad(UInt<65536>(1), 65536)")
+                .evaluate([](const std::string&) { return std::nullopt; })
+                .width(),
+            65536u);
 }
 
 TEST(Expression, TextPreserved) {
@@ -146,8 +156,8 @@ TEST(Expression, TextPreserved) {
 }
 
 TEST(Expression, EvaluateBoolOnWideValues) {
-  EXPECT_TRUE(Expression::parse("a").evaluate_bool(env({{"a", 0x80}})));
-  EXPECT_FALSE(Expression::parse("a").evaluate_bool(env({{"a", 0}})));
+  EXPECT_TRUE(Expression::parse("a").evaluate(env({{"a", 0x80}})).to_bool());
+  EXPECT_FALSE(Expression::parse("a").evaluate(env({{"a", 0}})).to_bool());
 }
 
 TEST(Expression, CacheKeyNormalizesSpelling) {

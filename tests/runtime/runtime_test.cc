@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "frontend/compile.h"
 #include "ir/parser.h"
@@ -16,6 +20,7 @@ namespace hgdb::runtime {
 namespace {
 
 using Command = Runtime::Command;
+using common::BitVector;
 
 /// A small design with known synthetic source locations ("demo.cc"):
 ///   line 5: register increment (always enabled)
@@ -70,6 +75,77 @@ class RuntimeTest : public ::testing::Test {
     });
     simulator_->run(cycles);
     return stops;
+  }
+
+  /// Stops as (edge time, instances that fired in frame order).
+  using StopGrid = std::vector<std::pair<uint64_t, std::vector<std::string>>>;
+
+  /// Arms `condition` at filename:line, runs `cycles`, and returns the
+  /// runtime's stops next to the stops a test-side oracle expects. At
+  /// every rising edge the oracle evaluates each member's symbol-table
+  /// enable and the user condition with the tree walk
+  /// (Expression::evaluate) over the backend's raw
+  /// get_value(instance + "." + name); a member fires when both hold, and
+  /// a fault counts as false.
+  std::pair<StopGrid, StopGrid> run_against_oracle(const std::string& filename,
+                                                   uint32_t line,
+                                                   const std::string& condition,
+                                                   uint64_t cycles) {
+    struct Member {
+      std::string instance;
+      std::optional<Expression> enable;
+    };
+    std::vector<Member> members;
+    for (const auto& row : table_->all_breakpoints()) {
+      if (row.filename != filename || row.line_num != line) continue;
+      Member member{table_->instance(row.instance_id)->name, std::nullopt};
+      if (!row.enable.empty()) member.enable = Expression::parse(row.enable);
+      members.push_back(std::move(member));
+    }
+    std::optional<Expression> user;
+    if (!condition.empty()) user = Expression::parse(condition);
+    auto holds = [&](const Expression& expr, const std::string& instance) {
+      try {
+        return expr
+            .evaluate([&](const std::string& name) {
+              return backend_->get_value(instance + "." + name);
+            })
+            .to_bool();
+      } catch (const std::exception&) {
+        return false;
+      }
+    };
+
+    StopGrid expected;
+    // Registered after the runtime's callback, so it sees the same settled
+    // rising-edge values the runtime evaluated.
+    const uint64_t oracle = backend_->add_clock_callback(
+        [&](vpi::ClockEdge edge, uint64_t time) {
+          if (edge != vpi::ClockEdge::Rising) return;
+          std::vector<std::string> fired;
+          for (const auto& member : members) {
+            if ((!member.enable || holds(*member.enable, member.instance)) &&
+                (!user || holds(*user, member.instance))) {
+              fired.push_back(member.instance);
+            }
+          }
+          if (!fired.empty()) expected.emplace_back(time, std::move(fired));
+        });
+    StopGrid actual;
+    runtime_->set_stop_handler([&](const rpc::StopEvent& event) {
+      std::vector<std::string> instances;
+      for (const auto& frame : event.frames) {
+        instances.push_back(frame.instance_name);
+      }
+      actual.emplace_back(event.time, std::move(instances));
+      return Command::Continue;
+    });
+    EXPECT_EQ(runtime_->add_breakpoint(filename, line, condition).size(),
+              members.size());
+    simulator_->run(cycles);
+    backend_->remove_clock_callback(oracle);
+    runtime_->set_stop_handler(nullptr);
+    return {std::move(actual), std::move(expected)};
   }
 
   std::unique_ptr<symbols::MemorySymbolTable> table_;
@@ -379,22 +455,29 @@ TEST_F(RuntimeTest, HierarchicalEvaluatePerInstance) {
 
 // -- compiled evaluation pipeline ---------------------------------------------
 
-TEST_F(RuntimeTest, InterpretedModeMatchesCompiledStops) {
-  // Differential check at the scheduler level: the same scenario run
-  // through the interpreted reference path must stop identically.
-  for (const bool compiled : {true, false}) {
-    RuntimeOptions options;
-    options.compiled_eval = compiled;
-    build(kDemo, options);
-    ASSERT_FALSE(
-        runtime_->add_breakpoint("demo.cc", 7, "cycle_reg % 2 == 0").empty());
-    auto stops = run_collecting(8);
-    EXPECT_EQ(stops.size(), 4u) << "compiled=" << compiled;
-    build(kDemo, options);
-    ASSERT_FALSE(runtime_->add_breakpoint("demo.cc", 9).empty());
-    stops = run_collecting(8);
-    EXPECT_EQ(stops.size(), 5u) << "compiled=" << compiled;
-  }
+TEST_F(RuntimeTest, StopsMatchTreeWalkOracle) {
+  // The rising edge of cycle k is at time 2k+1 and cycle_reg reads k+1
+  // there, so the expected stops are known by hand as well.
+  auto [stops, oracle] =
+      run_against_oracle("demo.cc", 7, "cycle_reg % 2 == 0", 8);
+  EXPECT_EQ(stops, oracle);
+  const std::vector<std::string> demo = {"Demo"};
+  EXPECT_EQ(stops, (StopGrid{{3, demo}, {7, demo}, {11, demo}, {15, demo}}));
+
+  // Line 9's symbol-table enable (cycle_reg > 3) alone gates the stops.
+  build(kDemo);
+  std::tie(stops, oracle) = run_against_oracle("demo.cc", 9, "", 8);
+  EXPECT_EQ(stops, oracle);
+  EXPECT_EQ(stops, (StopGrid{{7, demo}, {9, demo}, {11, demo}, {13, demo},
+                             {15, demo}}));
+
+  // A condition that faults (out-of-range slice while cycle_reg <= 4)
+  // counts as false on those edges.
+  build(kDemo);
+  std::tie(stops, oracle) = run_against_oracle(
+      "demo.cc", 7, "cycle_reg > 4 || bits(cycle_reg, 9, 0)", 8);
+  EXPECT_EQ(stops, oracle);
+  EXPECT_EQ(stops, (StopGrid{{9, demo}, {11, demo}, {13, demo}, {15, demo}}));
 }
 
 TEST_F(RuntimeTest, ConditionsEvaluatedCountsActualEvaluations) {
@@ -495,22 +578,61 @@ TEST_F(RuntimeTest, ConditionOverConstantWatchIsSkipped) {
   EXPECT_GT(runtime_->stats().dirty_skips, 0u);
 }
 
-TEST_F(RuntimeTest, EvaluateUsesCompiledPipeline) {
-  // One-off evaluation rides the compiled path by default; results must
-  // match the interpreted reference mode bit for bit.
+TEST_F(RuntimeTest, EvaluateMatchesTreeWalkOracle) {
+  // One-off evaluation runs the compiled pipeline; after 4 cycles
+  // cycle_reg is 4, so the result is 9, and the tree walk over the
+  // backend's raw values agrees bit for bit.
   simulator_->run(4);
-  const auto compiled_value =
-      runtime_->evaluate("cycle_reg * 2 + 1", std::nullopt);
-  ASSERT_TRUE(compiled_value.has_value());
+  const auto value = runtime_->evaluate("cycle_reg * 2 + 1", std::nullopt);
+  ASSERT_TRUE(value.has_value());
+  EXPECT_EQ(value->to_uint64(), 9u);
+  const BitVector oracle =
+      Expression::parse("cycle_reg * 2 + 1")
+          .evaluate([&](const std::string& name) {
+            return backend_->get_value("Demo." + name);
+          });
+  EXPECT_EQ(*value, oracle);
+}
 
-  RuntimeOptions options;
-  options.compiled_eval = false;
-  build(kDemo, options);
-  simulator_->run(4);
-  const auto interpreted_value =
-      runtime_->evaluate("cycle_reg * 2 + 1", std::nullopt);
-  ASSERT_TRUE(interpreted_value.has_value());
-  EXPECT_EQ(*compiled_value, *interpreted_value);
+TEST_F(RuntimeTest, WatchBaselineIsArmTimeValue) {
+  // Armed mid-run at cycle_reg = 7, where cycle_reg / 4 reads 1. The next
+  // edge (cycle_reg 8, time 15) moves it to 2: the first hit's old value
+  // is the arm-time value. It then holds at 2 for three edges with no hit
+  // and moves to 3 at cycle_reg 12 (time 23).
+  simulator_->run(7);
+  const int64_t id = runtime_->add_watchpoint("cycle_reg / 4");
+  using Hit = std::tuple<uint64_t, std::string, std::string>;
+  std::vector<Hit> hits;
+  runtime_->set_stop_handler([&](const rpc::StopEvent& event) {
+    for (const auto& hit : event.watch_hits) {
+      EXPECT_EQ(hit.id, id);
+      hits.emplace_back(event.time, hit.old_value, hit.new_value);
+    }
+    return Command::Continue;
+  });
+  simulator_->run(6);
+  EXPECT_EQ(hits, (std::vector<Hit>{{15, "1", "2"}, {23, "2", "3"}}));
+}
+
+TEST_F(RuntimeTest, FaultingWatchBaselinesOnFirstGoodEdge) {
+  // The slice faults while cycle_reg <= 4 (|| evaluates it) and is
+  // short-circuited away after, leaving the value cycle_reg. Armed at
+  // cycle_reg = 2 it has no baseline; the first good edge (cycle_reg 5)
+  // only baselines, and the next one (cycle_reg 6, time 11) is the first
+  // hit.
+  simulator_->run(2);
+  runtime_->add_watchpoint(
+      "(cycle_reg > 4 || bits(cycle_reg, 9, 0)) * cycle_reg");
+  using Hit = std::tuple<uint64_t, std::string, std::string>;
+  std::vector<Hit> hits;
+  runtime_->set_stop_handler([&](const rpc::StopEvent& event) {
+    for (const auto& hit : event.watch_hits) {
+      hits.emplace_back(event.time, hit.old_value, hit.new_value);
+    }
+    return Command::Continue;
+  });
+  simulator_->run(5);
+  EXPECT_EQ(hits, (std::vector<Hit>{{11, "5", "6"}, {13, "6", "7"}}));
 }
 
 TEST_F(RuntimeTest, IdenticalConditionsShareOneCompiledProgram) {
@@ -563,26 +685,23 @@ TEST_F(RuntimeTest, ProgramCacheShedsUnreferencedPrograms) {
   EXPECT_EQ(runtime_->stats().programs_compiled, 2u);
 }
 
-TEST_F(RuntimeTest, SharedProgramsMatchInterpretedVerdicts) {
-  // Differential check: the CSE-shared compiled path and the interpreted
-  // reference produce identical stop grids on the multi-instance design.
-  auto run_stops = [&](bool compiled_eval) {
-    RuntimeOptions options;
-    options.compiled_eval = compiled_eval;
-    build(kMultiInstance, options);
-    runtime_->add_breakpoint("worker.cc", 3, "acc > 4");
-    std::vector<std::pair<uint64_t, size_t>> stops;
-    runtime_->set_stop_handler([&](const rpc::StopEvent& event) {
-      stops.emplace_back(event.time, event.frames.size());
-      return Command::Continue;
-    });
-    simulator_->run(8);
-    return stops;
-  };
-  const auto compiled = run_stops(true);
-  const auto interpreted = run_stops(false);
-  ASSERT_FALSE(compiled.empty());
-  EXPECT_EQ(compiled, interpreted);
+TEST_F(RuntimeTest, SharedProgramsMatchTreeWalkOracle) {
+  // Three instances share one compiled program with per-instance slot
+  // maps. acc in instance wi reads (k+1)*(i+1) at the edge of cycle k
+  // (time 2k+1), so acc > 4 fires w2 from time 3, w1 from 5, w0 from 9.
+  build(kMultiInstance);
+  const auto [stops, oracle] =
+      run_against_oracle("worker.cc", 3, "acc > 4", 8);
+  EXPECT_EQ(runtime_->stats().programs_compiled, 1u);
+  EXPECT_EQ(stops, oracle);
+  const std::vector<std::string> all = {"Top.w0", "Top.w1", "Top.w2"};
+  EXPECT_EQ(stops, (StopGrid{{3, {"Top.w2"}},
+                             {5, {"Top.w1", "Top.w2"}},
+                             {7, {"Top.w1", "Top.w2"}},
+                             {9, all},
+                             {11, all},
+                             {13, all},
+                             {15, all}}));
 }
 
 }  // namespace

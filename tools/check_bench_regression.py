@@ -9,17 +9,23 @@ size savings, compression ratios), so they are far more stable across
 runner hardware than absolute timings — which is why the gate tracks
 them and not the raw numbers.
 
-Two report shapes are understood:
-  - fig5 (BENCH_fig5.json): condition_eval.*.speedup + hot_speedup;
-  - any report carrying a top-level "gates" object of name -> ratio
-    (BENCH_waveform.json: open_vs_parse_speedup, v3_size_savings,
-    rle_clock_compression; BENCH_fanout.json: binary_fanout_speedup).
+A report's top-level "gates" object maps name -> ratio
+(BENCH_waveform.json: open_vs_parse_speedup, v3_size_savings,
+rle_clock_compression; BENCH_fanout.json: binary_fanout_speedup).
 
-Reports may also carry a top-level "ceilings" object of name -> absolute
-upper bound (e.g. a p99 latency in ms). Ceilings gate in the opposite
-direction and with no drop budget: the run fails when the current value
-exceeds the committed baseline value. Use them for quantities where
-"bigger" is strictly worse and the committed bound is already generous.
+Reports may also carry a top-level "ceilings" object of name -> upper
+bound. Ceilings gate in the opposite direction and with no drop budget:
+the run fails when the current value exceeds the committed baseline
+value. Use them for quantities where "bigger" is strictly worse and the
+committed bound already carries the budget. BENCH_fanout.json bounds an
+absolute delivery p99 in ms. BENCH_fig5.json bounds
+hot_eval_per_sim_cycle and quiet_eval_per_sim_cycle: the compiled
+condition pipeline's eval ns per clock edge divided by the bare
+simulator's ns per cycle on the same design, measured in the same run.
+Its committed ceilings are the values measured when they were recorded,
+divided by 0.7 (a 30% budget).
+
+A baseline must track at least one gate or ceiling.
 
 Usage:
   check_bench_regression.py CURRENT.json BASELINE.json [--max-drop 0.30]
@@ -33,12 +39,6 @@ import sys
 def tracked_speedups(report):
     """(name, value) pairs of the ratios the gate protects."""
     out = []
-    for scenario, data in sorted(report.get("condition_eval", {}).items()):
-        if isinstance(data, dict) and "speedup" in data:
-            out.append((f"condition_eval.{scenario}.speedup",
-                        float(data["speedup"])))
-    if "hot_speedup" in report:
-        out.append(("hot_speedup", float(report["hot_speedup"])))
     for name, value in sorted(report.get("gates", {}).items()):
         if isinstance(value, (int, float)):
             out.append((f"gates.{name}", float(value)))
@@ -56,7 +56,7 @@ def tracked_ceilings(report):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("current", help="freshly produced BENCH_fig5.json")
+    parser.add_argument("current", help="freshly produced BENCH_*.json")
     parser.add_argument("baseline", help="committed baseline JSON")
     parser.add_argument("--max-drop", type=float, default=0.30,
                         help="maximum allowed fractional drop below the "
@@ -70,8 +70,11 @@ def main():
 
     baseline_values = dict(tracked_speedups(baseline))
     current_values = dict(tracked_speedups(current))
-    if not baseline_values:
-        print("error: baseline has no tracked speedups", file=sys.stderr)
+    baseline_ceilings = dict(tracked_ceilings(baseline))
+    current_ceilings = dict(tracked_ceilings(current))
+    if not baseline_values and not baseline_ceilings:
+        print("error: baseline has no tracked gates or ceilings",
+              file=sys.stderr)
         return 2
 
     failed = False
@@ -88,8 +91,6 @@ def main():
         if now < floor:
             failed = True
 
-    baseline_ceilings = dict(tracked_ceilings(baseline))
-    current_ceilings = dict(tracked_ceilings(current))
     for name, bound in sorted(baseline_ceilings.items()):
         if name not in current_ceilings:
             print(f"FAIL {name}: missing from the current report")

@@ -29,9 +29,9 @@ Rules 1-5 are enforced over src/, rule 6 over the README:
      metric catalogue (delegated to the hgdb-analyze exhaustiveness
      checker, so the lint and the analyzer can never disagree).
 
-  6. Every bold `**~Nx**` speedup in the README's Fig. 5 table (rows
-     whose scenario is `hot` or `quiet`) must lie within 30% of that
-     scenario's `condition_eval.<scenario>.speedup` in
+  6. Every bold `**~N**` ratio in the README's Fig. 5 table (rows whose
+     scenario is `hot` or `quiet`) must lie within 30% of that
+     scenario's gated `condition_eval.<scenario>.eval_per_sim_cycle` in
      bench/baselines/BENCH_fig5.json, and both scenarios must carry one.
      Likewise for bench/baselines/BENCH_waveform.json: every "~Nx
      smaller than `delta`" RLE claim must lie within 30% of
@@ -66,13 +66,13 @@ NO_SUPPRESSION_TREES = (SRC / "runtime", SRC / "session")
 # fixed or promoted to model.json contracts, never waived per-line.
 ANALYZE_ZERO_BUDGET_TREES = (SRC / "session", SRC / "rpc")
 
-# Rule 6: README Fig. 5 speedups against the committed baseline.
+# Rule 6: README Fig. 5 eval ratios against the committed baseline.
 README = REPO_ROOT / "README.md"
 FIG5_BASELINE = REPO_ROOT / "bench" / "baselines" / "BENCH_fig5.json"
 FIG5_SCENARIOS = ("hot", "quiet")
 FIG5_MAX_DRIFT = 0.30
 FIG5_ROW_RE = re.compile(
-    r"^\|\s*(hot|quiet)\b[^|]*\|.*\*\*~([0-9]+(?:\.[0-9]+)?)x\*\*"
+    r"^\|\s*(hot|quiet)\b[^|]*\|.*\*\*~([0-9]+(?:\.[0-9]+)?)\*\*"
 )
 
 # Rule 6, waveform half: README claims against BENCH_waveform.json.
@@ -185,8 +185,8 @@ def check_metric_literals(files: list[Path]) -> list[str]:
     ]
 
 
-def check_fig5_speedups() -> list[str]:
-    """Rule 6: the README's bold Fig. 5 speedups quote the committed
+def check_fig5_ratios() -> list[str]:
+    """Rule 6: the README's bold Fig. 5 eval ratios quote the committed
     baseline (within FIG5_MAX_DRIFT)."""
     baseline = json.loads(FIG5_BASELINE.read_text(encoding="utf-8"))
     violations: list[str] = []
@@ -198,17 +198,17 @@ def check_fig5_speedups() -> list[str]:
             continue
         scenario, claimed = match.group(1), float(match.group(2))
         seen.add(scenario)
-        measured = baseline["condition_eval"][scenario]["speedup"]
+        measured = baseline["condition_eval"][scenario]["eval_per_sim_cycle"]
         if abs(claimed - measured) > FIG5_MAX_DRIFT * measured:
             violations.append(
-                f"README.md:{line_no}: Fig. 5 {scenario} speedup ~{claimed:g}x"
-                f" is more than {FIG5_MAX_DRIFT:.0%} away from {measured:.1f}x"
-                " in bench/baselines/BENCH_fig5.json"
+                f"README.md:{line_no}: Fig. 5 {scenario} eval ratio"
+                f" ~{claimed:g} is more than {FIG5_MAX_DRIFT:.0%} away from"
+                f" {measured:.3f} in bench/baselines/BENCH_fig5.json"
             )
     for scenario in FIG5_SCENARIOS:
         if scenario not in seen:
             violations.append(
-                f"README.md: Fig. 5 table has no bold **~Nx** speedup for"
+                f"README.md: Fig. 5 table has no bold **~N** eval ratio for"
                 f" the {scenario} scenario"
             )
     return violations
@@ -271,7 +271,7 @@ def main() -> int:
     for path in files:
         all_violations.extend(check_file(path))
     all_violations.extend(check_metric_literals(files))
-    all_violations.extend(check_fig5_speedups())
+    all_violations.extend(check_fig5_ratios())
     all_violations.extend(check_waveform_claims())
     for violation in all_violations:
         print(violation)
