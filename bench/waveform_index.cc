@@ -21,6 +21,10 @@
 // parity mismatch, LRU bound violation, or failed absolute gate, so the
 // bench doubles as a stress check.
 //
+// "block_load" reports the cold block-load cost per codec, split into the
+// stages of the reader's cache-miss path: pread, CRC-32 and decode (us
+// per block), plus decode ns per entry. Reported, not gated.
+//
 // Output: one JSON object on stdout (and to $HGDB_BENCH_JSON when set).
 // The "gates" object carries the ratios tools/check_bench_regression.py
 // tracks against bench/baselines/BENCH_waveform.json; "config" records
@@ -35,12 +39,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/crc32.h"
 #include "trace/vcd_reader.h"
+#include "waveform/block_codec.h"
 #include "waveform/index_writer.h"
 #include "waveform/indexed_waveform.h"
 #include "waveform/sharded_writer.h"
@@ -147,6 +154,82 @@ double run_seeks(const Source& source,
   }
   *checksum = sum;
   return ms_since(t0);
+}
+
+/// Cold block-load cost of one codec, summed over every block loaded.
+struct LoadCost {
+  uint64_t blocks = 0;
+  uint64_t entries = 0;
+  double read_ns = 0;
+  double crc_ns = 0;
+  double decode_ns = 0;
+};
+
+double ns_between(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double, std::nano>(to - from).count();
+}
+
+/// Loads every block of `index` `passes` times the way the reader's
+/// cache-miss path does — pread into a scratch buffer, CRC-32 the
+/// payload, decode into a fresh block — timing each stage per codec.
+/// Returns the number of blocks whose CRC disagreed with the directory.
+uint64_t measure_block_loads(const waveform::IndexedWaveform& index,
+                             int passes,
+                             std::map<std::string, LoadCost>& costs) {
+  const waveform::StorageBackend storage(index.path());
+  std::string scratch;
+  uint64_t crc_mismatches = 0;
+  for (int pass = 0; pass < passes; ++pass) {
+    for (size_t s = 0; s < index.signal_count(); ++s) {
+      if (index.canonical_index(s) != s) continue;
+      const std::string_view name = index.signal_codec_name(s);
+      const waveform::BlockCodec& codec =
+          name == "rle"     ? waveform::rle_codec()
+          : name == "delta" ? waveform::delta_codec()
+                            : waveform::fixed_codec();
+      LoadCost& cost = costs[codec.name()];
+      for (const auto& info : index.blocks(s)) {
+        const auto t0 = Clock::now();
+        storage.read(info.file_offset, info.payload_bytes, scratch);
+        const auto t1 = Clock::now();
+        const uint32_t crc = common::crc32(scratch.data(), info.payload_bytes);
+        const auto t2 = Clock::now();
+        if (index.has_block_checksums() && crc != info.crc32) ++crc_mismatches;
+        waveform::DecodedBlock block;
+        codec.decode(scratch.data(), info.payload_bytes, info.count,
+                     index.signal(s).width, block);
+        const auto t3 = Clock::now();
+        cost.read_ns += ns_between(t0, t1);
+        cost.crc_ns += ns_between(t1, t2);
+        cost.decode_ns += ns_between(t2, t3);
+        cost.entries += block.size();
+        ++cost.blocks;
+      }
+    }
+  }
+  return crc_mismatches;
+}
+
+/// {"fixed": {...}, "delta": {...}, "rle": {...}} for the JSON report.
+std::string block_load_json(const std::map<std::string, LoadCost>& costs) {
+  std::string out = "{";
+  for (const auto& [codec, cost] : costs) {
+    const double blocks = static_cast<double>(std::max<uint64_t>(1, cost.blocks));
+    const double entries =
+        static_cast<double>(std::max<uint64_t>(1, cost.entries));
+    char row[320];
+    std::snprintf(row, sizeof(row),
+                  "%s\"%s\": {\"blocks\": %" PRIu64
+                  ", \"entries_per_block\": %.1f, \"read_us\": %.3f"
+                  ", \"crc_us\": %.3f, \"decode_us\": %.3f"
+                  ", \"decode_ns_per_entry\": %.2f}",
+                  out.size() > 1 ? ",\n    " : "", codec.c_str(), cost.blocks,
+                  static_cast<double>(cost.entries) / blocks,
+                  cost.read_ns / blocks / 1000.0, cost.crc_ns / blocks / 1000.0,
+                  cost.decode_ns / blocks / 1000.0, cost.decode_ns / entries);
+    out += row;
+  }
+  return out + "}";
 }
 
 }  // namespace
@@ -300,6 +383,14 @@ int main() {
   const uint64_t indexed_resident =
       static_cast<uint64_t>(stats.peak_resident) * block_cap * (8 + 16 + 16);
 
+  // -- cold block loads, stage by stage --------------------------------------
+  // v2 stores every stream with the fixed codec; v4 picks delta for data
+  // and rle for the clock.
+  constexpr int kLoadPasses = 3;
+  std::map<std::string, LoadCost> load_costs;
+  mismatches += measure_block_loads(v2_indexed, kLoadPasses, load_costs);
+  mismatches += measure_block_loads(v4_indexed, kLoadPasses, load_costs);
+
   const double v3_size_savings =
       v2_bytes > 0 ? 1.0 - static_cast<double>(v3_bytes) /
                                static_cast<double>(v2_bytes)
@@ -345,6 +436,7 @@ int main() {
       "    \"clock_delta_payload_bytes\": %" PRIu64
       ", \"clock_rle_payload_bytes\": %" PRIu64 "},\n"
       "  \"sharded\": {\"shards\": %u, \"convert_ms\": %.2f},\n"
+      "  \"block_load\": %s,\n"
       "  \"gates\": {\"open_vs_parse_speedup\": %.1f, "
       "\"v3_size_savings\": %.3f, \"rle_clock_compression\": %.1f},\n"
       "  \"parity_mismatches\": %" PRIu64 ",\n"
@@ -363,7 +455,8 @@ int main() {
       v3_indexed.cache_capacity(), convert_v4_ms, v4_bytes,
       static_cast<double>(v4_bytes) / static_cast<double>(total_changes),
       v4_indexed.signal_codec_name(0), clock_delta_bytes, clock_rle_bytes,
-      shard_count, sharded_convert_ms, open_vs_parse, v3_size_savings,
+      shard_count, sharded_convert_ms, block_load_json(load_costs).c_str(),
+      open_vs_parse, v3_size_savings,
       rle_clock_compression, mismatches,
       lru_bounded ? "true" : "false");
 

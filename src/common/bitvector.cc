@@ -44,6 +44,18 @@ BitVector BitVector::from_words(uint32_t width, std::vector<uint64_t> words) {
   return result;
 }
 
+BitVector BitVector::from_le_bytes(uint32_t width, const uint8_t* bytes,
+                                   size_t count) {
+  BitVector result(width, 0);
+  count = std::min(count, result.words_.size() * 8);
+  for (size_t byte = 0; byte < count; ++byte) {
+    result.words_[byte / 8] |= static_cast<uint64_t>(bytes[byte])
+                               << (8 * (byte % 8));
+  }
+  result.normalize();
+  return result;
+}
+
 BitVector BitVector::all_ones(uint32_t width) {
   BitVector result(width, 0);
   std::fill(result.words_.begin(), result.words_.end(), ~uint64_t{0});

@@ -145,6 +145,10 @@ class BitVector {
   static BitVector all_ones(uint32_t width);
   /// Builds from raw words (little-endian); truncates to `width`.
   static BitVector from_words(uint32_t width, std::vector<uint64_t> words);
+  /// Builds from `count` little-endian bytes; truncates to `width`. Needs
+  /// no scratch allocation (the .wvx block decoders' wide-value path).
+  static BitVector from_le_bytes(uint32_t width, const uint8_t* bytes,
+                                 size_t count);
 
   [[nodiscard]] uint32_t width() const { return width_; }
   [[nodiscard]] size_t num_words() const { return words_.size(); }

@@ -47,10 +47,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "debugger/client.h"
@@ -607,8 +609,20 @@ int run_wvx_convert(int argc, char** argv) {
     } else if (arg == "--no-checksums") {
       options.index.block_checksums = false;
     } else if (arg == "--block-cap" && i + 1 < argc) {
-      options.index.block_capacity =
-          static_cast<uint32_t>(std::stoul(argv[++i]));
+      // Parsed exactly: out-of-range text (say 4294967296) must be
+      // rejected, not wrapped into range by a narrowing cast.
+      const std::string_view text = argv[++i];
+      uint32_t cap = 0;
+      const auto [end, error] =
+          std::from_chars(text.data(), text.data() + text.size(), cap);
+      if (error != std::errc() || end != text.data() + text.size() ||
+          cap == 0 || cap > waveform::kWvxMaxBlockEntries) {
+        std::cerr << "fatal: --block-cap expects an entry count in 1.."
+                  << waveform::kWvxMaxBlockEntries << ", not '" << text
+                  << "'\n";
+        return 2;
+      }
+      options.index.block_capacity = cap;
     } else if (arg == "--shard-by" && i + 1 < argc) {
       const std::string mode = argv[++i];
       if (mode == "scope") {

@@ -6,9 +6,8 @@
 #include <map>
 #include <memory>
 #include <utility>
-#include <vector>
 
-#include "common/bitvector.h"
+#include "waveform/block_codec.h"
 
 namespace hgdb::waveform {
 
@@ -41,7 +40,7 @@ struct CacheStats {
 class BlockCache {
  public:
   using Key = std::pair<uint32_t, uint32_t>;  // (signal index, block index)
-  using Block = std::vector<std::pair<uint64_t, common::BitVector>>;
+  using Block = DecodedBlock;
   using BlockPtr = std::shared_ptr<const Block>;
 
   explicit BlockCache(size_t capacity) : capacity_(capacity ? capacity : 1) {}

@@ -61,18 +61,60 @@ void append_value_bytes(std::string& out, const BitVector& value,
   }
 }
 
-BitVector value_from_bytes(const uint8_t* bytes, uint32_t value_bytes,
-                           uint32_t width) {
-  std::vector<uint64_t> words((width + 63) / 64, 0);
-  for (uint32_t byte = 0; byte < value_bytes; ++byte) {
-    words[byte / 8] |= static_cast<uint64_t>(bytes[byte]) << (8 * (byte % 8));
+/// Little-endian load of `count` (<= 8) bytes.
+uint64_t load_le(const uint8_t* bytes, uint32_t count) {
+  uint64_t out = 0;
+  for (uint32_t byte = count; byte-- > 0;) out = (out << 8) | bytes[byte];
+  return out;
+}
+
+/// Mask of a narrow (<= 64-bit) signal's value bits.
+uint64_t width_mask(uint32_t width) {
+  return width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+}
+
+/// read_varint with the one-byte case inlined: small time deltas and xor
+/// diffs dominate real blocks.
+inline uint64_t next_varint(const uint8_t** cursor, const uint8_t* end) {
+  const uint8_t* p = *cursor;
+  if (p < end && *p < 0x80) {
+    *cursor = p + 1;
+    return *p;
   }
-  return BitVector::from_words(width, std::move(words));
+  return read_varint(cursor, end);
 }
 
 [[noreturn]] void truncated() {
   throw WvxError(WvxFault::kTruncatedBlock,
                  "wvx: block payload shorter than its entry count");
+}
+
+[[noreturn]] void trailing_bytes() {
+  throw WvxError(WvxFault::kCorrupt,
+                 "wvx: trailing bytes after the last block entry");
+}
+
+[[noreturn]] void unordered_times() {
+  throw WvxError(WvxFault::kCorrupt,
+                 "wvx: block entry times decrease or overflow");
+}
+
+/// `time + delta`, rejecting a wrap past 2^64: decoded times must stay
+/// nondecreasing, or seeks would binary-search unsorted data.
+inline uint64_t advance(uint64_t time, uint64_t delta) {
+  const uint64_t next = time + delta;
+  if (next < time) unordered_times();
+  return next;
+}
+
+/// The entry count comes from an untrusted directory: bound it before it
+/// sizes an allocation.
+void check_entry_count(uint32_t count) {
+  if (count > kWvxMaxBlockEntries) {
+    throw WvxError(WvxFault::kCorrupt,
+                   "wvx: block entry count " + std::to_string(count) +
+                       " exceeds the format maximum");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -98,8 +140,7 @@ class FixedBlockCodec final : public BlockCodec {
 
   void decode(const char* payload, size_t payload_bytes, uint32_t count,
               uint32_t width, DecodedBlock& out) const override {
-    out.clear();
-    out.reserve(count);
+    check_entry_count(count);
     const uint32_t value_bytes = wvx_value_bytes(width);
     const uint64_t stride = wvx_entry_stride(width);
     if (payload_bytes < stride * count) truncated();
@@ -107,12 +148,27 @@ class FixedBlockCodec final : public BlockCodec {
       throw WvxError(WvxFault::kCorrupt,
                      "wvx: block payload larger than its entry count");
     }
-    const auto* base = reinterpret_cast<const uint8_t*>(payload);
+    out.reset(width);
+    out.times.resize(count);
+    const auto* p = reinterpret_cast<const uint8_t*>(payload);
+    uint64_t previous = 0;
     for (uint32_t entry = 0; entry < count; ++entry) {
-      const uint8_t* p = base + entry * stride;
-      uint64_t time = 0;
-      for (int b = 7; b >= 0; --b) time = (time << 8) | p[b];
-      out.emplace_back(time, value_from_bytes(p + 8, value_bytes, width));
+      const uint64_t time = load_le(p + entry * stride, 8);
+      if (time < previous) unordered_times();
+      out.times[entry] = previous = time;
+    }
+    if (out.narrow()) {
+      const uint64_t mask = width_mask(width);
+      out.words.resize(count);
+      for (uint32_t entry = 0; entry < count; ++entry) {
+        out.words[entry] = load_le(p + entry * stride + 8, value_bytes) & mask;
+      }
+    } else {
+      out.wide.reserve(count);
+      for (uint32_t entry = 0; entry < count; ++entry) {
+        out.wide.push_back(BitVector::from_le_bytes(
+            width, p + entry * stride + 8, value_bytes));
+      }
     }
   }
 };
@@ -169,49 +225,91 @@ class DeltaBlockCodec final : public BlockCodec {
 
   void decode(const char* payload, size_t payload_bytes, uint32_t count,
               uint32_t width, DecodedBlock& out) const override {
-    out.clear();
-    out.reserve(count);
-    const uint32_t value_bytes = wvx_value_bytes(width);
-    const bool narrow = width <= 64;
+    check_entry_count(count);
+    // Every entry takes at least a 1-byte time delta and a tag byte.
+    if (payload_bytes < 2 * static_cast<uint64_t>(count)) truncated();
+    out.reset(width);
+    out.times.reserve(count);
     const auto* p = reinterpret_cast<const uint8_t*>(payload);
     const uint8_t* end = p + payload_bytes;
+    if (out.narrow()) {
+      decode_narrow(p, end, count, out);
+    } else {
+      decode_wide(p, end, count, out);
+    }
+  }
+
+ private:
+  [[noreturn]] static void unknown_tag(uint8_t tag) {
+    throw WvxError(WvxFault::kCorrupt, "wvx: unknown value tag " +
+                                           std::to_string(tag) +
+                                           " in block payload");
+  }
+
+  static void decode_narrow(const uint8_t* p, const uint8_t* end,
+                            uint32_t count, DecodedBlock& out) {
+    const uint32_t value_bytes = wvx_value_bytes(out.width);
+    const uint64_t mask = width_mask(out.width);
+    out.words.reserve(count);
     uint64_t time = 0;
-    uint64_t prev_word = 0;
-    BitVector prev(width, 0);
+    uint64_t word = 0;  // previous value, masked; zero before the first
     for (uint32_t entry = 0; entry < count; ++entry) {
-      time += read_varint(&p, end);
+      time = advance(time, next_varint(&p, end));
       if (p >= end) truncated();
       const uint8_t tag = *p++;
       switch (tag) {
         case kTagRepeat:
           break;
-        case kTagXor: {
-          if (!narrow) {
-            throw WvxError(WvxFault::kCorrupt,
-                           "wvx: xor-tagged entry on a wide signal");
-          }
-          prev_word ^= read_varint(&p, end);
-          prev.assign_uint64(prev_word);
+        case kTagXor:
+          word = (word ^ next_varint(&p, end)) & mask;
           break;
-        }
-        case kTagRaw: {
+        case kTagRaw:
           if (static_cast<size_t>(end - p) < value_bytes) truncated();
-          prev = value_from_bytes(p, value_bytes, width);
-          if (narrow) prev_word = prev.to_uint64();
+          word = load_le(p, value_bytes) & mask;
           p += value_bytes;
           break;
-        }
         default:
-          throw WvxError(WvxFault::kCorrupt,
-                         "wvx: unknown value tag " + std::to_string(tag) +
-                             " in block payload");
+          unknown_tag(tag);
       }
-      out.emplace_back(time, prev);
+      out.times.push_back(time);
+      out.words.push_back(word);
     }
-    if (p != end) {
-      throw WvxError(WvxFault::kCorrupt,
-                     "wvx: trailing bytes after the last block entry");
+    if (p != end) trailing_bytes();
+  }
+
+  static void decode_wide(const uint8_t* p, const uint8_t* end,
+                          uint32_t count, DecodedBlock& out) {
+    const uint32_t width = out.width;
+    const uint32_t value_bytes = wvx_value_bytes(width);
+    out.wide.reserve(count);
+    uint64_t time = 0;
+    for (uint32_t entry = 0; entry < count; ++entry) {
+      time = advance(time, next_varint(&p, end));
+      if (p >= end) truncated();
+      const uint8_t tag = *p++;
+      switch (tag) {
+        case kTagRepeat:
+          // Reserved above, so back() stays valid through the push.
+          if (out.wide.empty()) {
+            out.wide.emplace_back(width, 0);
+          } else {
+            out.wide.push_back(out.wide.back());
+          }
+          break;
+        case kTagXor:
+          throw WvxError(WvxFault::kCorrupt,
+                         "wvx: xor-tagged entry on a wide signal");
+        case kTagRaw:
+          if (static_cast<size_t>(end - p) < value_bytes) truncated();
+          out.wide.push_back(BitVector::from_le_bytes(width, p, value_bytes));
+          p += value_bytes;
+          break;
+        default:
+          unknown_tag(tag);
+      }
+      out.times.push_back(time);
     }
+    if (p != end) trailing_bytes();
   }
 };
 
@@ -262,41 +360,44 @@ class RleBlockCodec final : public BlockCodec {
     if (width != 1) {
       throw WvxError(WvxFault::kCorrupt, "wvx: rle block on a wide signal");
     }
-    out.clear();
-    out.reserve(count);
+    // Two bytes can legally expand into any run length: the cap is the
+    // only bound on what this block allocates.
+    check_entry_count(count);
+    out.reset(width);
+    out.times.reserve(count);
+    out.words.reserve(count);
     const auto* p = reinterpret_cast<const uint8_t*>(payload);
     const uint8_t* end = p + payload_bytes;
     uint64_t time = 0;
-    bool value = false;
-    while (out.size() < count) {
-      const uint64_t run = read_varint(&p, end);
+    uint64_t value = 0;
+    while (out.times.size() < count) {
+      const uint64_t run = next_varint(&p, end);
       if (run == 0) {  // literal: explicit value byte
-        time += read_varint(&p, end);
+        time = advance(time, next_varint(&p, end));
         if (p >= end) truncated();
         const uint8_t byte = *p++;
         if (byte > 1) {
           throw WvxError(WvxFault::kCorrupt,
                          "wvx: rle literal value byte out of range");
         }
-        value = byte != 0;
-        out.emplace_back(time, BitVector(1, value ? 1 : 0));
+        value = byte;
+        out.times.push_back(time);
+        out.words.push_back(value);
       } else {
-        if (run > count - out.size()) {
+        if (run > count - out.times.size()) {
           throw WvxError(WvxFault::kCorrupt,
                          "wvx: rle run overflows its block entry count");
         }
-        const uint64_t delta = read_varint(&p, end);
+        const uint64_t delta = next_varint(&p, end);
         for (uint64_t k = 0; k < run; ++k) {
-          time += delta;
-          value = !value;
-          out.emplace_back(time, BitVector(1, value ? 1 : 0));
+          time = advance(time, delta);
+          value ^= 1;
+          out.times.push_back(time);
+          out.words.push_back(value);
         }
       }
     }
-    if (p != end) {
-      throw WvxError(WvxFault::kCorrupt,
-                     "wvx: trailing bytes after the last block entry");
-    }
+    if (p != end) trailing_bytes();
   }
 };
 

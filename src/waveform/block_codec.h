@@ -3,16 +3,46 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/bitvector.h"
 
 namespace hgdb::waveform {
 
-/// A decoded change block: (time, value), sorted by time. Identical to
-/// BlockCache::Block — the codec produces exactly what the cache stores.
-using DecodedBlock = std::vector<std::pair<uint64_t, common::BitVector>>;
+/// A decoded change block in columns, sorted by time. Identical to
+/// BlockCache::Block: the codecs decode straight into what the cache
+/// stores, with no allocation per entry.
+///
+///   times  one u64 per entry, nondecreasing
+///   words  signals up to 64 bits: one u64 per entry, masked to the width
+///          (so 16 B of residency per entry with its time)
+///   wide   wider signals: one BitVector per entry; `words` stays empty
+///
+/// Queries binary-search `times` and build one BitVector per answer.
+struct DecodedBlock {
+  uint32_t width = 1;
+  std::vector<uint64_t> times;
+  std::vector<uint64_t> words;
+  std::vector<common::BitVector> wide;
+
+  [[nodiscard]] size_t size() const { return times.size(); }
+  [[nodiscard]] bool narrow() const { return width <= 64; }
+  /// Value of entry `index` (< size()).
+  [[nodiscard]] common::BitVector value(size_t index) const {
+    return narrow() ? common::BitVector(width, words[index]) : wide[index];
+  }
+  /// True when entry `index` has any bit set (BitVector::to_bool).
+  [[nodiscard]] bool is_set(size_t index) const {
+    return narrow() ? words[index] != 0 : wide[index].to_bool();
+  }
+  /// Empties every column (keeping capacity) for a `width`-bit decode.
+  void reset(uint32_t new_width) {
+    width = new_width;
+    times.clear();
+    words.clear();
+    wide.clear();
+  }
+};
 
 // -- varint (unsigned LEB128) -------------------------------------------------
 void append_varint(std::string& out, uint64_t value);
@@ -40,9 +70,13 @@ class BlockCodec {
                       size_t count, uint32_t width,
                       std::string& out) const = 0;
 
-  /// Decodes exactly `count` entries from `payload` into `out`
-  /// (cleared first). Throws WvxError(kTruncatedBlock / kCorrupt) when the
-  /// payload is shorter than the entries claim or trailing bytes remain.
+  /// Decodes exactly `count` entries from `payload` into `out` (reset to
+  /// `width` first). Throws WvxError(kTruncatedBlock / kCorrupt) when the
+  /// payload is shorter than the entries claim, trailing bytes remain,
+  /// entry times decrease (or wrap past 2^64), or `count` exceeds
+  /// kWvxMaxBlockEntries — an untrusted count is checked before it sizes
+  /// any allocation. Value bits above `width` in the
+  /// payload are masked off, as BitVector normalization does.
   virtual void decode(const char* payload, size_t payload_bytes,
                       uint32_t count, uint32_t width,
                       DecodedBlock& out) const = 0;

@@ -79,6 +79,12 @@ constexpr uint32_t kWvxMinVersion = 1;      ///< oldest readable version
 constexpr size_t kWvxHeaderSizeV1 = 32;
 constexpr size_t kWvxHeaderSizeV2 = 36;  ///< also the v3 header size
 
+/// Most entries one block may hold. Readers reject a directory entry
+/// claiming more as kCorrupt (so an untrusted count can never size an
+/// allocation), the block codecs refuse to decode more, and IndexWriter
+/// refuses a larger block_capacity.
+constexpr uint32_t kWvxMaxBlockEntries = 65536;
+
 /// Header flag bits (v2+).
 constexpr uint32_t kWvxFlagBlockChecksums = 1u << 0;
 /// Block payloads use the varint/delta codec (v3+; clear = fixed codec).
@@ -156,7 +162,7 @@ constexpr uint64_t wvx_entry_stride(uint32_t width) {
 struct IndexWriterOptions {
   /// Changes per block. Smaller blocks seek faster and cache finer; larger
   /// blocks amortize directory size. 256 keeps a 32-bit signal's block
-  /// at ~3 KiB.
+  /// at ~3 KiB. At most kWvxMaxBlockEntries; 0 is treated as 1.
   uint32_t block_capacity = 256;
   /// Write a CRC-32 per block (kWvxFlagBlockChecksums). ~4 bytes per
   /// block of overhead; on by default.

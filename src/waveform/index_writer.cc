@@ -48,6 +48,12 @@ bool is_clock_like(const std::vector<common::BitVector>& values) {
 
 IndexWriter::IndexWriter(const std::string& path, IndexWriterOptions options)
     : path_(path), options_(options) {
+  if (options_.block_capacity > kWvxMaxBlockEntries) {
+    throw std::invalid_argument(
+        "wvx: block capacity " + std::to_string(options_.block_capacity) +
+        " exceeds the format maximum of " +
+        std::to_string(kWvxMaxBlockEntries) + " entries");
+  }
   if (options_.block_capacity == 0) options_.block_capacity = 1;
   if (options_.version != 2 && options_.version != 3 &&
       options_.version != kWvxVersion) {

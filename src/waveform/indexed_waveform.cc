@@ -271,6 +271,10 @@ void IndexedWaveform::load_shard(uint32_t shard_index) {
       block.end_time = dir.u64();
       block.file_offset = dir.u64();
       block.count = dir.u32();
+      if (block.count > kWvxMaxBlockEntries) {
+        corrupt(path, "block entry count " + std::to_string(block.count) +
+                          " exceeds the format maximum");
+      }
       // v3 directories record the encoded size (variable-size codecs);
       // v1/v2 blocks are fixed-stride, so the size is derived. u64 math
       // throughout: a corrupt count must not truncate through the cast.
@@ -378,11 +382,10 @@ BitVector IndexedWaveform::value_at(size_t index, uint64_t time) const {
   // Last entry with entry.time <= time. For a well-formed index the first
   // entry equals start_time so one always exists; a corrupt directory whose
   // start_time understates the payload must not walk before begin().
-  auto entry = std::upper_bound(
-      block->begin(), block->end(), time,
-      [](uint64_t t, const auto& change) { return t < change.first; });
-  if (entry == block->begin()) return BitVector(signal.info.width, 0);
-  return std::prev(entry)->second;
+  const auto& times = block->times;
+  const auto entry = std::upper_bound(times.begin(), times.end(), time);
+  if (entry == times.begin()) return BitVector(signal.info.width, 0);
+  return block->value(static_cast<size_t>(entry - times.begin()) - 1);
 }
 
 std::vector<uint64_t> IndexedWaveform::rising_edges(size_t index) const {
@@ -392,9 +395,9 @@ std::vector<uint64_t> IndexedWaveform::rising_edges(size_t index) const {
   bool previous = false;
   for (size_t b = 0; b < signals_[canonical].blocks.size(); ++b) {
     auto block = load_block(canonical, b);
-    for (const auto& [time, value] : *block) {
-      const bool current = value.to_bool();
-      if (current && !previous) out.push_back(time);
+    for (size_t i = 0; i < block->size(); ++i) {
+      const bool current = block->is_set(i);
+      if (current && !previous) out.push_back(block->times[i]);
       previous = current;
     }
   }

@@ -17,11 +17,14 @@
 #include <utility>
 #include <vector>
 
+#include "common/bitvector.h"
 #include "common/json.h"
 #include "rpc/event_frame.h"
 #include "rpc/protocol_v2.h"
 #include "runtime/expression.h"
 #include "session/dap_protocol.h"
+#include "waveform/block_codec.h"
+#include "waveform/index_format.h"
 #include "waveform/manifest.h"
 
 namespace {
@@ -70,6 +73,41 @@ std::string expression_input(
     }
   }
   return bytes;
+}
+
+/// One fuzz_wvx_block input: codec id, width - 1, u32 entry count, then
+/// the block payload.
+std::string block_input(uint8_t codec, uint32_t width, uint32_t count,
+                        const std::string& payload) {
+  std::string bytes;
+  bytes.push_back(static_cast<char>(codec));
+  bytes.push_back(static_cast<char>(width - 1));
+  for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<char>(count >> (8 * i)));
+  return bytes + payload;
+}
+
+/// `count` changes of a `width`-bit signal: clustered times, with repeats
+/// and toggles so every delta tag and rle run shape shows up.
+std::string encoded_block(const hgdb::waveform::BlockCodec& codec,
+                          uint32_t width, uint32_t count) {
+  using hgdb::common::BitVector;
+  std::vector<uint64_t> times;
+  std::vector<BitVector> values;
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  uint64_t time = 3;
+  for (uint32_t i = 0; i < count; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    time += i % 7 == 6 ? 0 : (i % 5 == 4 ? 9 : 2);  // glitches, gaps
+    times.push_back(time);
+    BitVector value(width, state >> 11);
+    if (width > 64) value.set_bit(width - 1, (state & 1) != 0);
+    if (width == 1) value = BitVector(1, i % 6 == 5 ? i % 2 : (i + 1) % 2);
+    if (width > 1 && i % 4 == 3) value = values.back();
+    values.push_back(std::move(value));
+  }
+  std::string out;
+  codec.encode(times.data(), values.data(), count, width, out);
+  return out;
 }
 
 }  // namespace
@@ -295,6 +333,59 @@ int main(int argc, char** argv) {
     write_file(dir + "zero_width", expression_input("UInt<0>(1)", env));
     write_file(dir + "negative_width", expression_input("UInt<-1>(0)", env));
     write_file(dir + "huge_pad", expression_input("pad(a, 4294967296)", env));
+  }
+
+  // -- wvx_block: block payloads the columnar decoders must survive -------
+  {
+    const std::string dir = root + "/wvx_block/";
+    using hgdb::waveform::append_varint;
+    using hgdb::waveform::delta_codec;
+    using hgdb::waveform::fixed_codec;
+    using hgdb::waveform::rle_codec;
+    write_file(dir + "fixed_8", block_input(0, 8, 12,
+                                            encoded_block(fixed_codec(), 8, 12)));
+    write_file(dir + "fixed_80",
+               block_input(0, 80, 6, encoded_block(fixed_codec(), 80, 6)));
+    write_file(dir + "delta_1",
+               block_input(1, 1, 20, encoded_block(delta_codec(), 1, 20)));
+    write_file(dir + "delta_32",
+               block_input(1, 32, 24, encoded_block(delta_codec(), 32, 24)));
+    write_file(dir + "delta_64",
+               block_input(1, 64, 16, encoded_block(delta_codec(), 64, 16)));
+    write_file(dir + "delta_130",
+               block_input(1, 130, 8, encoded_block(delta_codec(), 130, 8)));
+    write_file(dir + "rle_clock",
+               block_input(2, 1, 40, encoded_block(rle_codec(), 1, 40)));
+    // Invalid shapes, from the real encoders so the prefix is well-formed.
+    const std::string delta = encoded_block(delta_codec(), 17, 10);
+    write_file(dir + "truncated",
+               block_input(1, 17, 10, delta.substr(0, delta.size() / 2)));
+    write_file(dir + "trailing_bytes", block_input(1, 17, 10, delta + "?"));
+    write_file(dir + "count_mismatch", block_input(1, 17, 11, delta));
+    // Raw and xor values with bits above a 7-bit width.
+    std::string high_bits;
+    append_varint(high_bits, 1);
+    high_bits += "\x02\xff";  // raw 0xff
+    append_varint(high_bits, 1);
+    high_bits += '\x01';       // xor 0x3ff
+    append_varint(high_bits, 0x3ff);
+    write_file(dir + "high_bits", block_input(1, 7, 2, high_bits));
+    // A 2^31 - 1 entry claim over a two-entry payload: rejected before
+    // any column is sized.
+    write_file(dir + "huge_count",
+               block_input(1, 17, 0x7fffffff, delta.substr(0, 4)));
+    // A legal rle run one past the entry cap: only the cap rejects it
+    // (a run of 2^31 - 1 would be the same two bytes, too).
+    std::string over_cap_run;
+    append_varint(over_cap_run, hgdb::waveform::kWvxMaxBlockEntries + 1);
+    append_varint(over_cap_run, 1);
+    write_file(dir + "over_cap_run",
+               block_input(2, 1, hgdb::waveform::kWvxMaxBlockEntries + 1,
+                           over_cap_run));
+    std::string wrap;
+    append_varint(wrap, 2);
+    append_varint(wrap, uint64_t{1} << 63);
+    write_file(dir + "time_wrap", block_input(2, 1, 2, wrap));
   }
 
   std::cout << "seed corpus written under " << root << "\n";

@@ -1,6 +1,9 @@
+#include <array>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -61,6 +64,54 @@ TEST(Crc32, MatchesKnownVectors) {
   const uint32_t whole = common::crc32(data.data(), data.size());
   const uint32_t first = common::crc32(data.data(), 5);
   EXPECT_EQ(common::crc32(data.data() + 5, data.size() - 5, first), whole);
+}
+
+/// The bytewise table CRC-32 the sliced implementation replaced, kept as
+/// the reference it must reproduce bit for bit.
+uint32_t reference_crc32(const unsigned char* bytes, size_t size,
+                         uint32_t seed) {
+  static const auto table = [] {
+    std::array<uint32_t, 256> out{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t value = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        value = (value >> 1) ^ ((value & 1u) ? 0xEDB88320u : 0);
+      }
+      out[i] = value;
+    }
+    return out;
+  }();
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xffu];
+  }
+  return ~crc;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseReference) {
+  // Lengths 0..300 cover the empty input, sub-word tails and many whole
+  // 8-byte steps; every start offset 0..7 covers each alignment of the
+  // word loads; chaining covers arbitrary seeds and split points.
+  std::mt19937 rng(32);
+  std::vector<unsigned char> buffer(300 + 8);
+  for (auto& byte : buffer) byte = static_cast<unsigned char>(rng());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* data = buffer.data() + offset;
+    for (size_t length = 0; length <= 300; ++length) {
+      const uint32_t expected = reference_crc32(data, length, 0);
+      ASSERT_EQ(common::crc32(data, length), expected)
+          << "offset " << offset << " length " << length;
+      const size_t split = length == 0 ? 0 : rng() % (length + 1);
+      const uint32_t head = common::crc32(data, split);
+      ASSERT_EQ(common::crc32(data + split, length - split, head), expected)
+          << "offset " << offset << " length " << length << " split "
+          << split;
+      const uint32_t seed = rng();
+      ASSERT_EQ(common::crc32(data, length, seed),
+                reference_crc32(data, length, seed))
+          << "offset " << offset << " length " << length << " seed " << seed;
+    }
+  }
 }
 
 TEST_F(ChecksumTest, FreshIndexesCarryChecksumsAndVerifyClean) {

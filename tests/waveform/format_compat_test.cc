@@ -436,8 +436,8 @@ TEST(BlockCodecs, RleRoundTripsClockAndLiteralMixes) {
                      static_cast<uint32_t>(values.size()), 1, decoded);
   ASSERT_EQ(decoded.size(), values.size());
   for (size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(decoded[i].first, times[i]) << i;
-    EXPECT_EQ(decoded[i].second, values[i]) << i;
+    EXPECT_EQ(decoded.times[i], times[i]) << i;
+    EXPECT_EQ(decoded.value(i), values[i]) << i;
   }
 }
 
@@ -547,8 +547,8 @@ TEST(BlockCodecs, DeltaRoundTripsMixedWidths) {
                          static_cast<uint32_t>(values.size()), width, decoded);
     ASSERT_EQ(decoded.size(), values.size()) << "width " << width;
     for (size_t i = 0; i < values.size(); ++i) {
-      EXPECT_EQ(decoded[i].first, times[i]);
-      EXPECT_EQ(decoded[i].second, values[i]) << "width " << width << " @" << i;
+      EXPECT_EQ(decoded.times[i], times[i]);
+      EXPECT_EQ(decoded.value(i), values[i]) << "width " << width << " @" << i;
     }
     // Fixed codec agrees with itself too, and delta is never larger on
     // this clustered traffic.
