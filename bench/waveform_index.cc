@@ -1,25 +1,27 @@
-// EXP-W — Waveform storage engine: in-memory trace vs. the indexed store,
-// format v2 vs. v3 vs. v4 (the scaling steps the replay path needs for
-// production-size dumps; cf. Goeders & Wilton's trace-based HLS
-// debugging, where the waveform store is the bottleneck).
+// EXP-W — Waveform storage engine: in-memory trace vs. the indexed store
+// (the scaling step the replay path needs for production-size dumps; cf.
+// Goeders & Wilton's trace-based HLS debugging, where the waveform store
+// is the bottleneck).
 //
 // The harness synthesizes a multi-scope VCD of configurable size (with
 // id-code aliases, like real dumps), then compares:
 //   in_memory     trace::VcdTrace — full parse, O(trace) resident
-//   indexed v2    fixed-stride codec, duplicated alias streams (legacy)
-//   indexed v3    varint/delta codec + alias dedup
-//   indexed v4    per-signal codec (RLE auto-selected for clock-likes)
+//   indexed v4    delta codec + alias dedup, RLE auto-selected for
+//                 clock-likes (the one format IndexWriter writes)
 //   sharded v4    per-scope shard files behind a manifest
 //
 // Every store answers the same random cycle seeks and must agree with
 // the in-memory trace.
 //
 // Expected shape: indexed open time orders of magnitude below the full
-// parse; the v3 file >= 30% smaller than v2 on the same dump; the RLE
-// stream for the clock >= 5x smaller than v3's delta stream; peak
-// resident blocks never above the LRU capacity. Exit is nonzero on any
-// parity mismatch, LRU bound violation, or failed absolute gate, so the
-// bench doubles as a stress check.
+// parse; the clock's RLE stream >= 5x smaller than the delta encoding of
+// the same blocks; peak resident blocks never above the LRU capacity.
+// Exit is nonzero on any parity mismatch, LRU bound violation, or failed
+// absolute gate, so the bench doubles as a stress check.
+//
+// "open_ms" is the median of kOpenReps individually timed header+footer
+// opens of the v4 file: one open is tens of microseconds, so a mean over
+// a few opens moves with host jitter.
 //
 // "block_load" reports the cold block-load cost per codec, split into the
 // stages of the reader's cache-miss path: pread, CRC-32 and decode (us
@@ -169,6 +171,15 @@ double ns_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::nano>(to - from).count();
 }
 
+/// The block codec of signal `s`'s stream in `index`.
+const waveform::BlockCodec& codec_of(const waveform::IndexedWaveform& index,
+                                     size_t s) {
+  const std::string_view name = index.signal_codec_name(s);
+  return name == "rle"     ? waveform::rle_codec()
+         : name == "delta" ? waveform::delta_codec()
+                           : waveform::fixed_codec();
+}
+
 /// Loads every block of `index` `passes` times the way the reader's
 /// cache-miss path does — pread into a scratch buffer, CRC-32 the
 /// payload, decode into a fresh block — timing each stage per codec.
@@ -182,11 +193,7 @@ uint64_t measure_block_loads(const waveform::IndexedWaveform& index,
   for (int pass = 0; pass < passes; ++pass) {
     for (size_t s = 0; s < index.signal_count(); ++s) {
       if (index.canonical_index(s) != s) continue;
-      const std::string_view name = index.signal_codec_name(s);
-      const waveform::BlockCodec& codec =
-          name == "rle"     ? waveform::rle_codec()
-          : name == "delta" ? waveform::delta_codec()
-                            : waveform::fixed_codec();
+      const waveform::BlockCodec& codec = codec_of(index, s);
       LoadCost& cost = costs[codec.name()];
       for (const auto& info : index.blocks(s)) {
         const auto t0 = Clock::now();
@@ -210,7 +217,7 @@ uint64_t measure_block_loads(const waveform::IndexedWaveform& index,
   return crc_mismatches;
 }
 
-/// {"fixed": {...}, "delta": {...}, "rle": {...}} for the JSON report.
+/// {"delta": {...}, "rle": {...}} for the JSON report.
 std::string block_load_json(const std::map<std::string, LoadCost>& costs) {
   std::string out = "{";
   for (const auto& [codec, cost] : costs) {
@@ -232,6 +239,31 @@ std::string block_load_json(const std::map<std::string, LoadCost>& costs) {
   return out + "}";
 }
 
+/// Payload bytes of `signal`'s stream in `index` re-encoded block by block
+/// through the delta codec: the same block boundaries, so it is exactly
+/// what a delta-coded file would store for that stream.
+uint64_t delta_reencoded_bytes(const waveform::IndexedWaveform& index,
+                               size_t signal) {
+  const waveform::StorageBackend storage(index.path());
+  const waveform::BlockCodec& codec = codec_of(index, signal);
+  const uint32_t width = index.signal(signal).width;
+  std::string scratch, encoded;
+  uint64_t bytes = 0;
+  for (const auto& info : index.blocks(signal)) {
+    storage.read(info.file_offset, info.payload_bytes, scratch);
+    waveform::DecodedBlock block;
+    codec.decode(scratch.data(), info.payload_bytes, info.count, width, block);
+    std::vector<common::BitVector> values;
+    values.reserve(block.size());
+    for (size_t i = 0; i < block.size(); ++i) values.push_back(block.value(i));
+    encoded.clear();
+    waveform::delta_codec().encode(block.times.data(), values.data(),
+                                   block.size(), width, encoded);
+    bytes += encoded.size();
+  }
+  return bytes;
+}
+
 }  // namespace
 
 int main() {
@@ -246,8 +278,6 @@ int main() {
       std::max<uint64_t>(1, env_or("HGDB_WVX_SCOPES", 4));
 
   const std::string vcd_path = "/tmp/hgdb_bench_waveform.vcd";
-  const std::string v2_path = "/tmp/hgdb_bench_waveform.v2.wvx";
-  const std::string v3_path = "/tmp/hgdb_bench_waveform.v3.wvx";
   const std::string v4_path = "/tmp/hgdb_bench_waveform.v4.wvx";
   const std::string sharded_path = "/tmp/hgdb_bench_waveform.sharded.wvx";
 
@@ -260,21 +290,7 @@ int main() {
   const double parse_ms = ms_since(t0);
   const size_t trace_resident = trace.resident_bytes();
 
-  // -- indexed backends: one-time convert per format version ---------------------
-  waveform::IndexWriterOptions v2_options;
-  v2_options.version = 2;
-  v2_options.block_capacity = block_cap;
-  t0 = Clock::now();
-  waveform::convert_vcd_to_index(vcd_path, v2_path, v2_options);
-  const double convert_v2_ms = ms_since(t0);
-
-  waveform::IndexWriterOptions v3_options;
-  v3_options.version = 3;  // the file default is v4 now; keep v3 tracked
-  v3_options.block_capacity = block_cap;
-  t0 = Clock::now();
-  waveform::convert_vcd_to_index(vcd_path, v3_path, v3_options);
-  const double convert_v3_ms = ms_since(t0);
-
+  // -- indexed backends: one-time convert ----------------------------------------
   // v4: per-signal codec selection (the clock's toggle stream goes RLE).
   waveform::IndexWriterOptions v4_options;
   v4_options.block_capacity = block_cap;
@@ -293,25 +309,25 @@ int main() {
           .shards;
   const double sharded_convert_ms = ms_since(t0);
 
-  const uint64_t v2_bytes = file_bytes(v2_path);
-  const uint64_t v3_bytes = file_bytes(v3_path);
   const uint64_t v4_bytes = file_bytes(v4_path);
   // The clock contributes 2 changes per cycle on top of the data changes.
   const uint64_t total_changes = changes + 2 * cycles;
 
   // -- header+footer-only opens --------------------------------------------------
-  // Averaged over several opens: a single ~30 us open is dominated by
-  // one-shot syscall/page-cache jitter, which would make the CI-gated
-  // open-vs-parse ratio flaky on shared runners.
-  constexpr int kOpenReps = 16;
-  t0 = Clock::now();
-  for (int i = 0; i < kOpenReps - 1; ++i) {
-    waveform::IndexedWaveform reopen(v3_path, cache_blocks);
-    (void)reopen.signal_count();
+  // Each open timed on its own (construction only), reported as the
+  // median: robust to the one-shot syscall/page-cache jitter that would
+  // make the CI-gated open-vs-parse ratio flaky on shared runners.
+  constexpr int kOpenReps = 65;
+  std::vector<double> open_samples;
+  open_samples.reserve(kOpenReps);
+  for (int i = 0; i < kOpenReps; ++i) {
+    t0 = Clock::now();
+    const waveform::IndexedWaveform reopen(v4_path, cache_blocks);
+    open_samples.push_back(ms_since(t0));
   }
-  waveform::IndexedWaveform v3_indexed(v3_path, cache_blocks);
-  const double open_ms = ms_since(t0) / kOpenReps;
-  waveform::IndexedWaveform v2_indexed(v2_path, cache_blocks);
+  std::nth_element(open_samples.begin(),
+                   open_samples.begin() + kOpenReps / 2, open_samples.end());
+  const double open_ms = open_samples[kOpenReps / 2];
   waveform::IndexedWaveform v4_indexed(v4_path, cache_blocks);
   // The manifest; one shared cache budget across every shard.
   waveform::IndexedWaveform sharded(sharded_path, cache_blocks);
@@ -328,16 +344,15 @@ int main() {
     sharded_index[i] = *mapped_index;
   }
 
-  // Per-codec clock stream cost: v3 encodes the clock with delta varints,
-  // v4 auto-selects RLE for it. Signal 0 is the clock in declaration
-  // order (single-file indexes keep that order).
-  auto payload_sum = [](const std::vector<waveform::BlockInfo>& blocks) {
-    uint64_t sum = 0;
-    for (const auto& block : blocks) sum += block.payload_bytes;
-    return sum;
-  };
-  const uint64_t clock_delta_bytes = payload_sum(v3_indexed.blocks(0));
-  const uint64_t clock_rle_bytes = payload_sum(v4_indexed.blocks(0));
+  // Per-codec clock stream cost: v4 auto-selects RLE for the clock; the
+  // same blocks re-encoded through the delta codec are what a delta-coded
+  // file stores. Signal 0 is the clock in declaration order (single-file
+  // indexes keep that order).
+  uint64_t clock_rle_bytes = 0;
+  for (const auto& block : v4_indexed.blocks(0)) {
+    clock_rle_bytes += block.payload_bytes;
+  }
+  const uint64_t clock_delta_bytes = delta_reencoded_bytes(v4_indexed, 0);
   const bool clock_is_rle =
       std::string_view(v4_indexed.signal_codec_name(0)) == "rle";
 
@@ -353,30 +368,25 @@ int main() {
     queries.emplace_back(signal, time);
   }
 
-  uint64_t checksum_memory = 0, checksum_v3 = 0, checksum_v2 = 0;
+  uint64_t checksum_memory = 0, checksum_v4 = 0;
   const double memory_seek_ms = run_seeks(trace, queries, &checksum_memory);
   // Warm once, then time steady-state seeks: the cold-block read path
   // under LRU churn, not first-touch page faults.
-  (void)run_seeks(v3_indexed, queries, &checksum_v3);
-  const double v3_seek_ms = run_seeks(v3_indexed, queries, &checksum_v3);
-  const double v2_seek_ms = run_seeks(v2_indexed, queries, &checksum_v2);
+  (void)run_seeks(v4_indexed, queries, &checksum_v4);
+  const double v4_seek_ms = run_seeks(v4_indexed, queries, &checksum_v4);
 
   uint64_t mismatches = 0;
   for (const auto& [signal, time] : queries) {
     const auto expected = trace.value_at(signal, time);
-    if (expected != v3_indexed.value_at(signal, time) ||
-        expected != v2_indexed.value_at(signal, time) ||
-        expected != v4_indexed.value_at(signal, time) ||
+    if (expected != v4_indexed.value_at(signal, time) ||
         expected != sharded.value_at(sharded_index[signal], time)) {
       ++mismatches;
     }
   }
-  if (checksum_v3 != checksum_v2 || checksum_v3 != checksum_memory) {
-    ++mismatches;
-  }
+  if (checksum_v4 != checksum_memory) ++mismatches;
 
-  const auto stats = v3_indexed.cache_stats();
-  const bool lru_bounded = stats.peak_resident <= v3_indexed.cache_capacity();
+  const auto stats = v4_indexed.cache_stats();
+  const bool lru_bounded = stats.peak_resident <= v4_indexed.cache_capacity();
   // Residency proxy for the indexed store: peak cached blocks, each at most
   // block_capacity entries of (8 time bytes + value payload + BitVector
   // overhead of one 64-bit word per started 64 bits).
@@ -384,17 +394,11 @@ int main() {
       static_cast<uint64_t>(stats.peak_resident) * block_cap * (8 + 16 + 16);
 
   // -- cold block loads, stage by stage --------------------------------------
-  // v2 stores every stream with the fixed codec; v4 picks delta for data
-  // and rle for the clock.
+  // v4 picks delta for data and rle for the clock.
   constexpr int kLoadPasses = 3;
   std::map<std::string, LoadCost> load_costs;
-  mismatches += measure_block_loads(v2_indexed, kLoadPasses, load_costs);
   mismatches += measure_block_loads(v4_indexed, kLoadPasses, load_costs);
 
-  const double v3_size_savings =
-      v2_bytes > 0 ? 1.0 - static_cast<double>(v3_bytes) /
-                               static_cast<double>(v2_bytes)
-                   : 0.0;
   const double open_vs_parse = open_ms > 0 ? parse_ms / open_ms : 0.0;
   const double rle_clock_compression =
       clock_rle_bytes > 0 ? static_cast<double>(clock_delta_bytes) /
@@ -423,42 +427,33 @@ int main() {
       ", \"build_type\": \"%s\"},\n"
       "  \"in_memory\": {\"parse_ms\": %.2f, \"resident_bytes\": %zu, "
       "\"seek_us_avg\": %.3f},\n"
-      "  \"indexed_v2\": {\"convert_ms\": %.2f, \"file_bytes\": %" PRIu64
-      ", \"bytes_per_change\": %.2f, \"seek_us_avg\": %.3f},\n"
-      "  \"indexed_v3\": {\"convert_ms\": %.2f, \"file_bytes\": %" PRIu64
-      ", \"bytes_per_change\": %.2f, \"open_ms\": %.2f,\n"
+      "  \"indexed_v4\": {\"convert_ms\": %.2f, \"file_bytes\": %" PRIu64
+      ", \"bytes_per_change\": %.2f, \"open_ms\": %.4f,\n"
       "    \"seek_us_avg\": %.3f, \"resident_bytes_proxy\": %" PRIu64 ",\n"
       "    \"total_blocks\": %" PRIu64 ", \"aliases_deduped\": %zu, "
       "\"cache\": {\"hits\": %" PRIu64 ", \"misses\": %" PRIu64
-      ", \"evictions\": %" PRIu64 ", \"peak_resident\": %zu, \"capacity\": %zu}},\n"
-      "  \"indexed_v4\": {\"convert_ms\": %.2f, \"file_bytes\": %" PRIu64
-      ", \"bytes_per_change\": %.2f, \"clock_codec\": \"%s\",\n"
-      "    \"clock_delta_payload_bytes\": %" PRIu64
+      ", \"evictions\": %" PRIu64 ", \"peak_resident\": %zu, \"capacity\": %zu},\n"
+      "    \"clock_codec\": \"%s\", \"clock_delta_payload_bytes\": %" PRIu64
       ", \"clock_rle_payload_bytes\": %" PRIu64 "},\n"
       "  \"sharded\": {\"shards\": %u, \"convert_ms\": %.2f},\n"
       "  \"block_load\": %s,\n"
       "  \"gates\": {\"open_vs_parse_speedup\": %.1f, "
-      "\"v3_size_savings\": %.3f, \"rle_clock_compression\": %.1f},\n"
+      "\"rle_clock_compression\": %.1f},\n"
       "  \"parity_mismatches\": %" PRIu64 ",\n"
       "  \"lru_bounded\": %s\n"
       "}\n",
       signals, aliases, cycles, changes, seeks, cache_blocks, block_cap,
       scopes, std::thread::hardware_concurrency(), HGDB_BUILD_TYPE, parse_ms,
       trace_resident,
-      memory_seek_ms * 1000.0 / static_cast<double>(seeks), convert_v2_ms,
-      v2_bytes, static_cast<double>(v2_bytes) / static_cast<double>(total_changes),
-      v2_seek_ms * 1000.0 / static_cast<double>(seeks), convert_v3_ms,
-      v3_bytes, static_cast<double>(v3_bytes) / static_cast<double>(total_changes),
-      open_ms, v3_seek_ms * 1000.0 / static_cast<double>(seeks),
-      indexed_resident, v3_indexed.total_blocks(), v3_indexed.alias_count(),
+      memory_seek_ms * 1000.0 / static_cast<double>(seeks), convert_v4_ms,
+      v4_bytes, static_cast<double>(v4_bytes) / static_cast<double>(total_changes),
+      open_ms, v4_seek_ms * 1000.0 / static_cast<double>(seeks),
+      indexed_resident, v4_indexed.total_blocks(), v4_indexed.alias_count(),
       stats.hits, stats.misses, stats.evictions, stats.peak_resident,
-      v3_indexed.cache_capacity(), convert_v4_ms, v4_bytes,
-      static_cast<double>(v4_bytes) / static_cast<double>(total_changes),
-      v4_indexed.signal_codec_name(0), clock_delta_bytes, clock_rle_bytes,
-      shard_count, sharded_convert_ms, block_load_json(load_costs).c_str(),
-      open_vs_parse, v3_size_savings,
-      rle_clock_compression, mismatches,
-      lru_bounded ? "true" : "false");
+      v4_indexed.cache_capacity(), v4_indexed.signal_codec_name(0),
+      clock_delta_bytes, clock_rle_bytes, shard_count, sharded_convert_ms,
+      block_load_json(load_costs).c_str(), open_vs_parse,
+      rle_clock_compression, mismatches, lru_bounded ? "true" : "false");
 
   std::fputs(json, stdout);
   if (const char* json_path = std::getenv("HGDB_BENCH_JSON")) {
@@ -467,8 +462,6 @@ int main() {
   }
 
   std::remove(vcd_path.c_str());
-  std::remove(v2_path.c_str());
-  std::remove(v3_path.c_str());
   std::remove(v4_path.c_str());
   std::remove(sharded_path.c_str());
   for (const auto& shard : sharded.shard_paths()) std::remove(shard.c_str());

@@ -8,8 +8,7 @@
 //                 [--replay vcd|wvx|<dump-path>] [--dap [port]]
 //                 [--binary-events]
 //        hgdb-cli wvx-verify <file.wvx>
-//        hgdb-cli wvx-convert <in.vcd> <out.wvx> [--v2] [--v3]
-//                 [--fixed-codec] [--no-dedup] [--no-checksums]
+//        hgdb-cli wvx-convert <in.vcd> <out.wvx> [--no-checksums]
 //                 [--block-cap N] [--shard-by scope|none]
 //   workload: multiply | mm | mt-matmul | vvadd | qsort | dhrystone |
 //             median | towers | spmv | mt-vvadd | fpu
@@ -26,9 +25,9 @@
 // `wvx-verify` checks a waveform index (any format version), reporting
 // the version, block codec and alias table, verifying per-block checksums
 // and naming the first corrupt block with a typed fault class.
-// `wvx-convert` converts a VCD dump to the index offline; the flags pick
-// the on-disk version (v4 per-signal codec auto-selection by default,
-// --v3 / --v2 / --fixed-codec / --no-dedup for the older layouts).
+// `wvx-convert` converts a VCD dump to a v4 index offline (per-signal
+// codec auto-selection, one stream per alias group); older versions are
+// read-only.
 // --shard-by scope splits the output into per-scope shard files behind a
 // manifest; the conversion runs on the calling thread and shard content
 // depends only on the dump.
@@ -585,9 +584,8 @@ int run_cli(const std::string& name, bool debug_mode, uint64_t cycles,
 
 int run_wvx_convert(int argc, char** argv) {
   if (argc < 4) {
-    std::cerr << "usage: hgdb-cli wvx-convert <in.vcd> <out.wvx> [--v2] "
-                 "[--v3] [--fixed-codec] [--no-dedup] [--no-checksums] "
-                 "[--block-cap N] [--shard-by scope|none]\n";
+    std::cerr << "usage: hgdb-cli wvx-convert <in.vcd> <out.wvx> "
+                 "[--no-checksums] [--block-cap N] [--shard-by scope|none]\n";
     return 2;
   }
   const std::string vcd_path = argv[2];
@@ -596,17 +594,7 @@ int run_wvx_convert(int argc, char** argv) {
   options.shard_by_scope = false;  // single file unless --shard-by scope
   for (int i = 4; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--v2") {
-      options.index.version = 2;
-    } else if (arg == "--v3") {
-      options.index.version = 3;
-    } else if (arg == "--fixed-codec") {
-      // Pin every stream: the file default *and* per-signal selection.
-      options.index.delta_codec = false;
-      options.index.auto_codec = false;
-    } else if (arg == "--no-dedup") {
-      options.index.dedup_aliases = false;
-    } else if (arg == "--no-checksums") {
+    if (arg == "--no-checksums") {
       options.index.block_checksums = false;
     } else if (arg == "--block-cap" && i + 1 < argc) {
       // Parsed exactly: out-of-range text (say 4294967296) must be

@@ -559,21 +559,6 @@ void DebugService::remove_subscription_metric_locked(
                    ".events_dropped");
 }
 
-// ---------------------------------------------------------------------------
-// stats
-// ---------------------------------------------------------------------------
-
-DebugService::ServiceStats DebugService::service_stats() const {
-  ServiceStats stats;
-  stats.requests = requests_->value();
-  stats.protocol_errors = protocol_errors_->value();
-  stats.stops_broadcast = stops_broadcast_->value();
-  stats.events_delivered = events_delivered_->value();
-  stats.events_decimated = events_decimated_->value();
-  stats.events_dropped = events_dropped_->value();
-  return stats;
-}
-
 obs::MetricsRegistry& DebugService::metrics() const {
   return runtime_->metrics();
 }

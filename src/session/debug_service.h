@@ -264,17 +264,11 @@ class DebugService {
   [[nodiscard]] size_t subscription_count() const;
 
   // -- service counters --------------------------------------------------------
-  struct ServiceStats {
-    uint64_t requests = 0;
-    uint64_t protocol_errors = 0;
-    uint64_t stops_broadcast = 0;
-    uint64_t events_delivered = 0;  ///< value-change events after filtering
-    uint64_t events_decimated = 0;  ///< suppressed by decimation
-    uint64_t events_dropped = 0;    ///< suppressed by min-interval throttling
-  };
+  /// The `session.*` counters (requests, protocol_errors, stops_broadcast,
+  /// events_delivered/_decimated/_dropped) live in metrics(); `stats`
+  /// reads them from there.
   void count_request() { requests_->add(1); }
   void count_protocol_error() { protocol_errors_->add(1); }
-  [[nodiscard]] ServiceStats service_stats() const;
   /// The runtime's registry; all `session.*` metrics live here next to
   /// the `runtime.*` ones, so one exposition page covers the stack.
   [[nodiscard]] obs::MetricsRegistry& metrics() const;

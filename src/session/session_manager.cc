@@ -414,15 +414,6 @@ void SessionManager::register_command(const std::string& name, Handler handler,
       &service_->metrics().counter("session.command." + name)};
 }
 
-SessionManager::ServiceStats SessionManager::service_stats() const {
-  const auto stats = service_->service_stats();
-  ServiceStats out;
-  out.requests = stats.requests;
-  out.protocol_errors = stats.protocol_errors;
-  out.stops_broadcast = stats.stops_broadcast;
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // built-in command catalogue (the native v2 front end: each handler
 // decodes the JSON payload, calls the typed DebugService core, and renders
@@ -766,16 +757,16 @@ void SessionManager::register_builtins() {
         Json(static_cast<int64_t>(runtime_->watchpoint_count()));
     response.payload["subscriptions"] =
         Json(static_cast<int64_t>(service_->subscription_count()));
-    const auto service = service_->service_stats();
-    response.payload["requests"] = Json(service.requests);
-    response.payload["protocol_errors"] = Json(service.protocol_errors);
-    response.payload["stops_broadcast"] = Json(service.stops_broadcast);
-    response.payload["events_delivered"] = Json(service.events_delivered);
-    response.payload["events_decimated"] = Json(service.events_decimated);
-    response.payload["events_dropped"] = Json(service.events_dropped);
+    // Service counters, read from the registry they are counted in.
+    auto& registry = service_->metrics();
+    for (const char* name :
+         {"requests", "protocol_errors", "stops_broadcast", "events_delivered",
+          "events_decimated", "events_dropped"}) {
+      response.payload[name] =
+          Json(registry.counter(std::string("session.") + name).value());
+    }
     // Latency quantiles from the registry histograms (power-of-two bucket
     // upper bounds, see obs::Histogram).
-    auto& registry = service_->metrics();
     Json latency = Json::object();
     for (const char* name :
          {"runtime.batch_eval_ns", "session.stop_handshake_ns"}) {

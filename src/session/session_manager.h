@@ -104,13 +104,6 @@ class SessionManager {
   /// DebugService::deliver_stop (routing + handshake).
   Command deliver_stop(rpc::StopEvent event);
 
-  struct ServiceStats {
-    uint64_t requests = 0;
-    uint64_t protocol_errors = 0;
-    uint64_t stops_broadcast = 0;
-  };
-  [[nodiscard]] ServiceStats service_stats() const;
-
  private:
   struct Entry {
     std::unique_ptr<DebugSession> session;

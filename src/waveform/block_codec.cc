@@ -107,13 +107,18 @@ inline uint64_t advance(uint64_t time, uint64_t delta) {
   return next;
 }
 
-/// The entry count comes from an untrusted directory: bound it before it
-/// sizes an allocation.
-void check_entry_count(uint32_t count) {
+/// The entry count comes from an untrusted directory: bound it, and the
+/// value bytes it decodes to, before it sizes an allocation.
+void check_entry_count(uint32_t count, uint32_t width) {
   if (count > kWvxMaxBlockEntries) {
     throw WvxError(WvxFault::kCorrupt,
                    "wvx: block entry count " + std::to_string(count) +
                        " exceeds the format maximum");
+  }
+  if (wvx_block_value_bytes(count, width) > kWvxMaxBlockValueBytes) {
+    throw WvxError(WvxFault::kCorrupt,
+                   "wvx: block of " + std::to_string(count) +
+                       " entries decodes past the format maximum");
   }
 }
 
@@ -140,7 +145,7 @@ class FixedBlockCodec final : public BlockCodec {
 
   void decode(const char* payload, size_t payload_bytes, uint32_t count,
               uint32_t width, DecodedBlock& out) const override {
-    check_entry_count(count);
+    check_entry_count(count, width);
     const uint32_t value_bytes = wvx_value_bytes(width);
     const uint64_t stride = wvx_entry_stride(width);
     if (payload_bytes < stride * count) truncated();
@@ -225,7 +230,7 @@ class DeltaBlockCodec final : public BlockCodec {
 
   void decode(const char* payload, size_t payload_bytes, uint32_t count,
               uint32_t width, DecodedBlock& out) const override {
-    check_entry_count(count);
+    check_entry_count(count, width);
     // Every entry takes at least a 1-byte time delta and a tag byte.
     if (payload_bytes < 2 * static_cast<uint64_t>(count)) truncated();
     out.reset(width);
@@ -362,7 +367,7 @@ class RleBlockCodec final : public BlockCodec {
     }
     // Two bytes can legally expand into any run length: the cap is the
     // only bound on what this block allocates.
-    check_entry_count(count);
+    check_entry_count(count, width);
     out.reset(width);
     out.times.reserve(count);
     out.words.reserve(count);

@@ -73,9 +73,10 @@ class BlockCodec {
   /// Decodes exactly `count` entries from `payload` into `out` (reset to
   /// `width` first). Throws WvxError(kTruncatedBlock / kCorrupt) when the
   /// payload is shorter than the entries claim, trailing bytes remain,
-  /// entry times decrease (or wrap past 2^64), or `count` exceeds
-  /// kWvxMaxBlockEntries — an untrusted count is checked before it sizes
-  /// any allocation. Value bits above `width` in the
+  /// entry times decrease (or wrap past 2^64), `count` exceeds
+  /// kWvxMaxBlockEntries, or the block would decode past
+  /// kWvxMaxBlockValueBytes — an untrusted count is checked before it
+  /// sizes any allocation. Value bits above `width` in the
   /// payload are masked off, as BitVector normalization does.
   virtual void decode(const char* payload, size_t payload_bytes,
                       uint32_t count, uint32_t width,

@@ -10,15 +10,16 @@
 
 namespace hgdb::waveform {
 
-/// The .wvx on-disk waveform index, version 4 (versions 1-3 remain
-/// readable bit-identically).
+/// The .wvx on-disk waveform index, version 4. IndexWriter writes only
+/// v4; v1-v3 files written by older releases remain readable
+/// bit-identically.
 ///
 /// Layout (all integers little-endian; "varint" = unsigned LEB128):
 ///
 ///   [header, 36 bytes (32 in v1, which has no flags word)]
 ///     u32 magic            "WVX1" (0x31585657; identifies the format, not
 ///                          the version)
-///     u32 version          4 (3 / 2 / 1 for legacy files)
+///     u32 version          4 (3 / 2 / 1 in files from older releases)
 ///     u32 flags            kWvxFlag* bits (v2+)
 ///     u64 footer_offset    patched after the block region is written
 ///     u64 max_time
@@ -66,7 +67,9 @@ namespace hgdb::waveform {
 /// the LRU cache, read with pread through a StorageBackend. The directory
 /// per signal is sorted by start_time, so a cycle seek is a binary search
 /// over the directory followed by a binary search inside one decoded
-/// block: O(log blocks + log block_capacity), no full-trace parse.
+/// block: O(log blocks + log block_capacity), no full-trace parse. Readers
+/// reject a directory out of time order, and a block whose decoded first
+/// and last times differ from its entry, as kCorrupt.
 ///
 /// With kWvxFlagBlockChecksums set, every directory entry carries the
 /// CRC-32 (IEEE) of its raw on-disk payload; readers verify it when the
@@ -84,6 +87,20 @@ constexpr size_t kWvxHeaderSizeV2 = 36;  ///< also the v3 header size
 /// allocation), the block codecs refuse to decode more, and IndexWriter
 /// refuses a larger block_capacity.
 constexpr uint32_t kWvxMaxBlockEntries = 65536;
+
+/// Most value bytes one block may decode to, counted as
+/// wvx_block_value_bytes(): a delta repeat tag costs 2 payload bytes but
+/// decodes to a whole value, so the entry cap alone does not bound a wide
+/// signal's block. Readers reject a directory entry above it as kCorrupt
+/// before decoding, the block codecs refuse to decode past it, and
+/// IndexWriter shrinks a wide signal's block capacity to stay within it.
+constexpr uint64_t kWvxMaxBlockValueBytes = uint64_t{8} << 20;
+
+/// Decoded value bytes of a `count`-entry block of a `width`-bit signal:
+/// one 64-bit word per started 64 bits per entry.
+constexpr uint64_t wvx_block_value_bytes(uint64_t count, uint32_t width) {
+  return count * ((static_cast<uint64_t>(width) + 63) / 64) * 8;
+}
 
 /// Header flag bits (v2+).
 constexpr uint32_t kWvxFlagBlockChecksums = 1u << 0;
@@ -162,27 +179,12 @@ constexpr uint64_t wvx_entry_stride(uint32_t width) {
 struct IndexWriterOptions {
   /// Changes per block. Smaller blocks seek faster and cache finer; larger
   /// blocks amortize directory size. 256 keeps a 32-bit signal's block
-  /// at ~3 KiB. At most kWvxMaxBlockEntries; 0 is treated as 1.
+  /// at ~3 KiB. At most kWvxMaxBlockEntries; 0 is treated as 1. Wide
+  /// signals get fewer, so no block decodes past kWvxMaxBlockValueBytes.
   uint32_t block_capacity = 256;
   /// Write a CRC-32 per block (kWvxFlagBlockChecksums). ~4 bytes per
   /// block of overhead; on by default.
   bool block_checksums = true;
-  /// On-disk format version to emit: 4 (default), or 3 / 2 for tooling
-  /// that must interoperate with older readers.
-  uint32_t version = kWvxVersion;
-  /// v3+: encode blocks with the varint/delta codec by default. false
-  /// falls back to the fixed-stride codec inside a v3/v4 container.
-  bool delta_codec = true;
-  /// v3+: store one change stream per id-code alias group and record
-  /// the aliases in the signal table (canonical indirection). v2 files
-  /// duplicate the stream per alias, as they always did.
-  bool dedup_aliases = true;
-  /// v4 only: pick each signal's codec from its data — a 1-bit signal
-  /// whose first flushed block is toggle-dominated gets the rle codec,
-  /// everything else keeps the file default. The choice depends only on
-  /// the change stream, so identical input yields identical bytes
-  /// regardless of how the conversion is parallelized.
-  bool auto_codec = true;
 };
 
 }  // namespace hgdb::waveform

@@ -1,5 +1,6 @@
 #include "waveform/index_writer.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -25,11 +26,11 @@ void put_u64_at(char* dest, uint64_t value) {
   for (int i = 0; i < 8; ++i) dest[i] = static_cast<char>(value >> (8 * i));
 }
 
-/// v4 auto-selection: a 1-bit stream whose first flushed block is
+/// Codec auto-selection: a 1-bit stream whose first flushed block is
 /// dominated by toggles (>= 90% of entries flip the previous value,
 /// starting from the per-block baseline 0) is clock-like — the rle codec
 /// collapses it to a few bytes per block. The sample must be large enough
-/// to mean something; tiny first blocks keep the file default.
+/// to mean something; tiny first blocks keep the file default (delta).
 constexpr size_t kAutoCodecMinSample = 16;
 
 bool is_clock_like(const std::vector<common::BitVector>& values) {
@@ -47,7 +48,7 @@ bool is_clock_like(const std::vector<common::BitVector>& values) {
 }  // namespace
 
 IndexWriter::IndexWriter(const std::string& path, IndexWriterOptions options)
-    : path_(path), options_(options) {
+    : options_(options) {
   if (options_.block_capacity > kWvxMaxBlockEntries) {
     throw std::invalid_argument(
         "wvx: block capacity " + std::to_string(options_.block_capacity) +
@@ -55,29 +56,14 @@ IndexWriter::IndexWriter(const std::string& path, IndexWriterOptions options)
         std::to_string(kWvxMaxBlockEntries) + " entries");
   }
   if (options_.block_capacity == 0) options_.block_capacity = 1;
-  if (options_.version != 2 && options_.version != 3 &&
-      options_.version != kWvxVersion) {
-    throw std::invalid_argument("wvx: writer supports versions 2.." +
-                                std::to_string(kWvxVersion) + ", not " +
-                                std::to_string(options_.version));
-  }
-  if (options_.version < 3) {
-    // The v2 container has neither a codec flag nor an alias table.
-    options_.delta_codec = false;
-    options_.dedup_aliases = false;
-  }
-  // Per-signal codec bytes exist only in v4 footers.
-  if (options_.version < 4) options_.auto_codec = false;
-  codec_ = options_.delta_codec ? &delta_codec() : &fixed_codec();
   // Throws WvxError, which callers catching runtime_error on open
   // failures still see (WvxError derives from it).
   out_ = std::make_unique<WriteBackend>(path);
-  uint32_t flags = 0;
+  uint32_t flags = kWvxFlagDeltaCodec;
   if (options_.block_checksums) flags |= kWvxFlagBlockChecksums;
-  if (options_.delta_codec) flags |= kWvxFlagDeltaCodec;
   // Header with a placeholder footer offset; patched in on_finish().
   put_u32(*out_, kWvxMagic);
-  put_u32(*out_, options_.version);
+  put_u32(*out_, kWvxVersion);
   put_u32(*out_, flags);
   put_u64(*out_, 0);  // footer_offset
   put_u64(*out_, 0);  // max_time
@@ -97,12 +83,16 @@ void IndexWriter::on_signal(size_t id, const SignalInfo& info) {
   signal.info = info;
   signal.value_bytes = wvx_value_bytes(info.width);
   signal.canonical = id;
-  // Auto-selected codecs resolve lazily at the first flush (the choice
-  // needs data); everything else uses the file default from day one.
-  if (!(options_.auto_codec && info.width == 1)) signal.codec = codec_;
+  // 1-bit codecs resolve lazily at the first flush (the choice needs
+  // data); everything else uses the file default from day one.
+  if (info.width != 1) signal.codec = &delta_codec();
   signals_.push_back(std::move(signal));
-  pending_.emplace_back();
-  fanout_.emplace_back();
+  Pending pending;
+  pending.capacity = static_cast<uint32_t>(
+      std::min<uint64_t>(options_.block_capacity,
+                         kWvxMaxBlockValueBytes /
+                             wvx_block_value_bytes(1, info.width)));
+  pending_.push_back(std::move(pending));
 }
 
 void IndexWriter::on_alias(size_t id, size_t canonical_id) {
@@ -115,15 +105,9 @@ void IndexWriter::on_alias(size_t id, size_t canonical_id) {
     throw std::runtime_error("wvx: alias width mismatch for '" +
                              signals_[id].info.hier_name + "'");
   }
-  if (options_.dedup_aliases) {
-    // One change stream for the whole group: the alias points at the
-    // canonical signal and owns no blocks.
-    signals_[id].canonical = signals_[canonical_id].canonical;
-    ++aliases_deduped_;
-  } else {
-    // Legacy layout: duplicate the stream per aliased name.
-    fanout_[signals_[canonical_id].canonical].push_back(id);
-  }
+  // One change stream for the whole group: the alias points at the
+  // canonical signal and owns no blocks.
+  signals_[id].canonical = signals_[canonical_id].canonical;
 }
 
 void IndexWriter::on_change(size_t id, uint64_t time,
@@ -136,8 +120,7 @@ void IndexWriter::on_change(size_t id, uint64_t time,
   // backends report identical edge grids.
   pending.times.push_back(time);
   pending.values.push_back(value);
-  if (pending.times.size() >= options_.block_capacity) flush_block(id);
-  for (size_t alias : fanout_[id]) on_change(alias, time, value);
+  if (pending.times.size() >= pending.capacity) flush_block(id);
 }
 
 void IndexWriter::flush_block(size_t id) {
@@ -145,11 +128,12 @@ void IndexWriter::flush_block(size_t id) {
   if (pending.times.empty()) return;
   auto& signal = signals_[id];
   if (signal.codec == nullptr) {
-    // First flush of an auto-codec candidate: decide from this block and
-    // stick with it (the directory records one codec per stream). The
-    // decision is a pure function of the change data, so re-converting
-    // the same dump — sharded or not, any job count — picks identically.
-    signal.codec = is_clock_like(pending.values) ? &rle_codec() : codec_;
+    // First flush of a 1-bit stream: decide from this block and stick
+    // with it (the directory records one codec per stream). The decision
+    // is a pure function of the change data, so re-converting the same
+    // dump, sharded or not, picks identically.
+    signal.codec =
+        is_clock_like(pending.values) ? &rle_codec() : &delta_codec();
   }
   BlockInfo block;
   block.start_time = pending.times.front();
@@ -169,36 +153,29 @@ void IndexWriter::flush_block(size_t id) {
   signal.blocks.push_back(block);
   pending.times.clear();
   pending.values.clear();
-  ++blocks_written_;
 }
 
 void IndexWriter::on_finish(uint64_t max_time) {
   for (size_t id = 0; id < signals_.size(); ++id) flush_block(id);
   const uint64_t footer_offset = out_->offset();
-  const bool v3 = options_.version >= 3;
-  const bool v4 = options_.version >= 4;
   for (size_t id = 0; id < signals_.size(); ++id) {
     auto& signal = signals_[id];
     put_u32(*out_, static_cast<uint32_t>(signal.info.hier_name.size()));
     out_->append(signal.info.hier_name.data(), signal.info.hier_name.size());
     put_u32(*out_, signal.info.width);
-    if (v3) {
-      put_u32(*out_, static_cast<uint32_t>(signal.canonical));
-      if (signal.canonical != id) continue;  // aliases carry no directory
-    }
-    if (v4) {
-      // A stream that never changed had no flush to decide its codec.
-      if (signal.codec == nullptr) signal.codec = codec_;
-      const char id_byte = static_cast<char>(codec_id(*signal.codec));
-      out_->append(&id_byte, 1);
-    }
+    put_u32(*out_, static_cast<uint32_t>(signal.canonical));
+    if (signal.canonical != id) continue;  // aliases carry no directory
+    // A stream that never changed had no flush to decide its codec.
+    if (signal.codec == nullptr) signal.codec = &delta_codec();
+    const char id_byte = static_cast<char>(codec_id(*signal.codec));
+    out_->append(&id_byte, 1);
     put_u64(*out_, signal.blocks.size());
     for (const auto& block : signal.blocks) {
       put_u64(*out_, block.start_time);
       put_u64(*out_, block.end_time);
       put_u64(*out_, block.file_offset);
       put_u32(*out_, block.count);
-      if (v3) put_u32(*out_, block.payload_bytes);
+      put_u32(*out_, block.payload_bytes);
       if (options_.block_checksums) put_u32(*out_, block.crc32);
     }
   }
@@ -210,7 +187,6 @@ void IndexWriter::on_finish(uint64_t max_time) {
   put_u64_at(patch + 16, signals_.size());
   out_->write_at(12, patch, sizeof(patch));
   out_->finish();  // throws WvxError(kIo) if anything failed to land
-  finished_ = true;
 }
 
 size_t convert_vcd_to_index(const std::string& vcd_path,

@@ -18,11 +18,12 @@ namespace hgdb::waveform {
 /// block per signal plus the growing, small directory) and sim::VcdWriter's
 /// direct dump path (simulator -> index, no intermediate VCD text).
 ///
-/// The on-disk version and block encoding are options: v4 (default) with
-/// the varint/delta codec, alias dedup and per-signal codec auto-selection
-/// (clock-like 1-bit streams get the rle toggle codec), or v3 / v2 for
-/// compatibility with older readers. Blocks are serialized through the
-/// BlockCodec seam, so the writer never touches entry layout itself.
+/// It writes one format: v4 with the varint/delta codec as the file
+/// default, one change stream per id-code alias group, and per-signal
+/// codec auto-selection (clock-like 1-bit streams get the rle toggle
+/// codec). Older versions are read-only (IndexedWaveform opens v1-v4).
+/// Blocks are serialized through the BlockCodec seam, so the writer never
+/// touches entry layout itself.
 class IndexWriter final : public VcdEventSink {
  public:
   explicit IndexWriter(const std::string& path, IndexWriterOptions options = {});
@@ -38,36 +39,26 @@ class IndexWriter final : public VcdEventSink {
                  const common::BitVector& value) override;
   void on_finish(uint64_t max_time) override;
 
-  /// True once on_finish() wrote the footer and closed the file.
-  [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] size_t signal_count() const { return signals_.size(); }
-  [[nodiscard]] uint64_t blocks_written() const { return blocks_written_; }
-  /// Signals stored as references into another signal's change stream.
-  [[nodiscard]] size_t aliases_deduped() const { return aliases_deduped_; }
   [[nodiscard]] const IndexWriterOptions& options() const { return options_; }
 
  private:
   struct Pending {
+    /// Entries per block for this signal: block_capacity, lowered for
+    /// wide signals so a block never decodes past kWvxMaxBlockValueBytes.
+    uint32_t capacity = 1;
     std::vector<uint64_t> times;
     std::vector<common::BitVector> values;
   };
 
   void flush_block(size_t id);
 
-  std::string path_;
   IndexWriterOptions options_;
-  const BlockCodec* codec_;
   /// Mapped output file behind the block/directory writes.
   std::unique_ptr<WriteBackend> out_;
   std::string buffer_;  ///< scratch for block serialization + checksum
   std::vector<IndexedSignal> signals_;
   std::vector<Pending> pending_;
-  /// v2 / no-dedup mode: per canonical id, the alias ids whose streams the
-  /// writer fans the changes out to (the legacy duplicate layout).
-  std::vector<std::vector<size_t>> fanout_;
-  uint64_t blocks_written_ = 0;
-  size_t aliases_deduped_ = 0;
-  bool finished_ = false;
 };
 
 /// Streams `vcd_path` through a VcdStreamParser into an IndexWriter.

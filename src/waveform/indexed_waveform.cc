@@ -235,10 +235,16 @@ void IndexedWaveform::load_shard(uint32_t shard_index) {
       if (canonical > i) corrupt(path, "alias points forward");
       signal.canonical = base + canonical;
       if (canonical != i) {
-        if (signals_[base + canonical].canonical != base + canonical) {
+        const IndexedSignal& owner = signals_[base + canonical];
+        if (owner.canonical != base + canonical) {
           corrupt(path, "alias of an alias");
         }
-        signal.codec = signals_[base + canonical].codec;
+        // Queries on an alias are served from the owner's stream, so a
+        // different declared width would mislabel every value.
+        if (owner.info.width != signal.info.width) {
+          corrupt(path, "alias width differs from its canonical signal");
+        }
+        signal.codec = owner.codec;
         ++alias_count_;
         // emplace (first wins) to match VcdTrace's duplicate-name
         // resolution.
@@ -260,7 +266,8 @@ void IndexedWaveform::load_shard(uint32_t shard_index) {
     }
     const uint64_t stride = wvx_entry_stride(signal.info.width);
     const uint64_t block_count = dir.u64();
-    if (shard_blocks + block_count > max_shard_blocks) {
+    // Subtract, never add: an untrusted count near 2^64 must not wrap.
+    if (block_count > max_shard_blocks - shard_blocks) {
       corrupt(path, "block count exceeds footer size");
     }
     shard_blocks += block_count;
@@ -275,6 +282,11 @@ void IndexedWaveform::load_shard(uint32_t shard_index) {
         corrupt(path, "block entry count " + std::to_string(block.count) +
                           " exceeds the format maximum");
       }
+      if (wvx_block_value_bytes(block.count, signal.info.width) >
+          kWvxMaxBlockValueBytes) {
+        corrupt(path, "block of " + std::to_string(block.count) +
+                          " entries decodes past the format maximum");
+      }
       // v3 directories record the encoded size (variable-size codecs);
       // v1/v2 blocks are fixed-stride, so the size is derived. u64 math
       // throughout: a corrupt count must not truncate through the cast.
@@ -288,6 +300,13 @@ void IndexedWaveform::load_shard(uint32_t shard_index) {
           payload > footer_offset - block.file_offset ||
           payload > UINT32_MAX) {
         corrupt(path, "block outside the data region");
+      }
+      // Seeks binary-search start_time: the directory must be in time
+      // order, or a query silently lands in the wrong block.
+      if (block.end_time < block.start_time ||
+          (!signal.blocks.empty() &&
+           block.start_time < signal.blocks.back().end_time)) {
+        corrupt(path, "block directory out of time order");
       }
       block.payload_bytes = static_cast<uint32_t>(payload);
       signal.blocks.push_back(block);
@@ -350,6 +369,14 @@ BlockCache::BlockPtr IndexedWaveform::load_block(size_t signal_index,
     decode_span.set_arg(info.count);
     signal.codec->decode(payload, info.payload_bytes, info.count,
                          signal.info.width, *block);
+  }
+  // The directory's time span must be the payload's (count >= 1 here).
+  if (block->times.front() != info.start_time ||
+      block->times.back() != info.end_time) {
+    throw WvxError(WvxFault::kCorrupt,
+                   "wvx: block times disagree with the directory in '" +
+                       shard_path + "' (signal '" + signal.info.hier_name +
+                       "', block " + std::to_string(block_index) + ")");
   }
   const uint64_t before_evictions = cache_.stats().evictions;
   cache_.insert(key, block);

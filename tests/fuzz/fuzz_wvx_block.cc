@@ -4,15 +4,16 @@
 // sanitizer report, allocation failure or any other exception is a bug.
 //
 // Input layout: byte 0 picks the codec (id modulo 3: fixed, delta, rle),
-// byte 1 is width - 1 (1..256 bits: the narrow word column, inline and
-// heap BitVector columns), bytes 2..5 are the little-endian u32 entry
-// count (uncapped, so the kWvxMaxBlockEntries check is reachable), and the
-// rest is the payload.
+// bytes 1..2 are the little-endian u16 width - 1 (1..65536 bits: the
+// narrow word column, inline and heap BitVector columns, and widths wide
+// enough to reach kWvxMaxBlockValueBytes), bytes 3..6 are the
+// little-endian u32 entry count (uncapped, so the kWvxMaxBlockEntries
+// check is reachable), and the rest is the payload.
 //
 // On success the block must hold exactly `count` entries in the column
-// its width selects, times nondecreasing, narrow words within the width,
-// and must agree entry by entry with the reference decoder in
-// tests/waveform/block_decode_oracle.h.
+// its width selects, within both caps, times nondecreasing, narrow words
+// within the width, and must agree entry by entry with the reference
+// decoder in tests/waveform/block_decode_oracle.h.
 //
 // Built two ways:
 //   - libFuzzer (clang, -fsanitize=fuzzer,address, -DHGDB_FUZZ_LIBFUZZER):
@@ -28,15 +29,15 @@
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using namespace hgdb::waveform;
-  if (size < 6) return 0;
+  if (size < 7) return 0;
   const uint8_t codec_index = data[0] % 3;
-  const uint32_t width = 1u + data[1];
-  const uint32_t count = static_cast<uint32_t>(data[2]) |
-                         static_cast<uint32_t>(data[3]) << 8 |
-                         static_cast<uint32_t>(data[4]) << 16 |
-                         static_cast<uint32_t>(data[5]) << 24;
-  const char* payload = reinterpret_cast<const char*>(data + 6);
-  const size_t payload_bytes = size - 6;
+  const uint32_t width = 1u + (data[1] | static_cast<uint32_t>(data[2]) << 8);
+  const uint32_t count = static_cast<uint32_t>(data[3]) |
+                         static_cast<uint32_t>(data[4]) << 8 |
+                         static_cast<uint32_t>(data[5]) << 16 |
+                         static_cast<uint32_t>(data[6]) << 24;
+  const char* payload = reinterpret_cast<const char*>(data + 7);
+  const size_t payload_bytes = size - 7;
   const BlockCodec& codec = *codec_by_id(codec_index);
 
   DecodedBlock block;
@@ -45,7 +46,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   } catch (const WvxError&) {
     return 0;  // malformed/truncated/corrupt payload: the documented failure
   }
-  if (count > kWvxMaxBlockEntries) std::abort();
+  if (count > kWvxMaxBlockEntries ||
+      wvx_block_value_bytes(count, width) > kWvxMaxBlockValueBytes) {
+    std::abort();
+  }
   if (block.width != width || block.size() != count) std::abort();
   if (block.narrow()) {
     if (block.words.size() != count || !block.wide.empty()) std::abort();

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <utility>
@@ -75,13 +76,14 @@ std::string expression_input(
   return bytes;
 }
 
-/// One fuzz_wvx_block input: codec id, width - 1, u32 entry count, then
-/// the block payload.
+/// One fuzz_wvx_block input: codec id, u16 width - 1, u32 entry count,
+/// then the block payload.
 std::string block_input(uint8_t codec, uint32_t width, uint32_t count,
                         const std::string& payload) {
   std::string bytes;
   bytes.push_back(static_cast<char>(codec));
   bytes.push_back(static_cast<char>(width - 1));
+  bytes.push_back(static_cast<char>((width - 1) >> 8));
   for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<char>(count >> (8 * i)));
   return bytes + payload;
 }
@@ -107,6 +109,47 @@ std::string encoded_block(const hgdb::waveform::BlockCodec& codec,
   }
   std::string out;
   codec.encode(times.data(), values.data(), count, width, out);
+  return out;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::cerr << "cannot read " << path << "\n";
+    std::exit(1);
+  }
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// A version-1 index: 32-byte header (no flags word), fixed codec, no
+/// checksums, one 8-bit signal "x" with a 2-entry block (0x2a at 0, 0x55
+/// at 9). No writer emits v1, so it is built by hand.
+std::string v1_index() {
+  std::string out;
+  auto u32 = [&](uint32_t value) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(value >> (8 * i)));
+  };
+  auto u64 = [&](uint64_t value) {
+    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(value >> (8 * i)));
+  };
+  u32(hgdb::waveform::kWvxMagic);
+  u32(1);
+  u64(32 + 18);  // footer offset
+  u64(9);        // max_time
+  u64(1);        // signal_count
+  u64(0);
+  out.push_back(0x2a);
+  u64(9);
+  out.push_back(0x55);
+  u32(1);
+  out.push_back('x');
+  u32(8);
+  u64(1);  // block_count
+  u64(0);
+  u64(9);
+  u64(32);
+  u32(2);
   return out;
 }
 
@@ -386,6 +429,61 @@ int main(int argc, char** argv) {
     append_varint(wrap, 2);
     append_varint(wrap, uint64_t{1} << 63);
     write_file(dir + "time_wrap", block_input(2, 1, 2, wrap));
+    // 65536 two-byte repeat tags on an 8192-bit signal: under the entry
+    // cap, but 64 MiB decoded, past kWvxMaxBlockValueBytes.
+    std::string wide_repeats;
+    for (uint32_t i = 0; i < hgdb::waveform::kWvxMaxBlockEntries; ++i) {
+      wide_repeats += std::string("\0\0", 2);
+    }
+    write_file(dir + "wide_repeats",
+               block_input(1, 8192, hgdb::waveform::kWvxMaxBlockEntries,
+                           wide_repeats));
+  }
+
+  // -- wvx_index: whole files through the header/footer/directory parse --
+  {
+    const std::string dir = root + "/wvx_index/";
+    // The committed fixtures, one per layout the reader accepts.
+    for (const char* name : {"golden_v2", "golden_v3", "golden_v3_fixed",
+                             "golden_v4", "golden_v4_fixed"}) {
+      write_file(dir + name, read_file(std::string(HGDB_WAVEFORM_FIXTURES) +
+                                       "/" + name + ".wvx"));
+    }
+    write_file(dir + "v1_fixed", v1_index());
+
+    // Corrupt variants of the v4 fixture. Its footer row is u32 name_len,
+    // name, u32 width, u32 canonical, then for canonical signals u8 codec,
+    // u64 block_count and 36 bytes per checksummed block; the clock's row
+    // comes first and the alias's last.
+    const std::string golden =
+        read_file(std::string(HGDB_WAVEFORM_FIXTURES) + "/golden_v4.wvx");
+    const auto u32_at = [&](size_t at) {
+      uint32_t value = 0;
+      for (int i = 3; i >= 0; --i) {
+        value = value << 8 | static_cast<uint8_t>(golden[at + i]);
+      }
+      return value;
+    };
+    const size_t clock_count_at =
+        u32_at(12) + 4 + u32_at(u32_at(12)) + 4 + 4 + 1;
+    const size_t clock_blocks_at = clock_count_at + 8;
+    const size_t second_row = clock_blocks_at + 36 * u32_at(clock_count_at);
+    // The alias declared 65537 bits wide over the 8-bit stream it shares.
+    std::string alias_width = golden;
+    alias_width[alias_width.size() - 8] = 0x01;
+    alias_width[alias_width.size() - 6] = 0x01;
+    write_file(dir + "alias_width", alias_width);
+    // The second canonical signal claiming 2^64 - 1 blocks: added to the
+    // clock's count it wraps past zero.
+    std::string wrap_count = golden;
+    const size_t count_at = second_row + 4 + u32_at(second_row) + 4 + 4 + 1;
+    for (size_t i = 0; i < 8; ++i) wrap_count[count_at + i] = '\xff';
+    write_file(dir + "wrapping_block_count", wrap_count);
+    // The clock's second block claiming to start at 2^32: the directory
+    // is no longer in time order.
+    std::string unsorted = golden;
+    unsorted[clock_blocks_at + 36 + 4] = 0x01;
+    write_file(dir + "unsorted_directory", unsorted);
   }
 
   std::cout << "seed corpus written under " << root << "\n";

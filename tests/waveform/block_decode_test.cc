@@ -4,8 +4,9 @@
 // heap BitVector columns) through every codec, and hand-built payloads
 // that set value bits above the width must decode entry by entry the same
 // — and every byte-truncation of each payload must still be a WvxError.
-// Also the entry-count cap: an untrusted count is a typed fault at the
-// codec, the reader and the writer, never an allocation failure.
+// Also the entry-count cap and the decoded-size bound: an untrusted count
+// is a typed fault at the codec, the reader and the writer, never an
+// allocation failure.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -21,6 +22,7 @@
 #include "waveform/block_codec.h"
 #include "waveform/index_writer.h"
 #include "waveform/indexed_waveform.h"
+#include "waveform/wvx_verify.h"
 
 namespace hgdb::waveform {
 namespace {
@@ -278,6 +280,48 @@ TEST(BlockDecode, RleRejectsOversizedEntryCount) {
   EXPECT_EQ(out.words.back(), 0u);  // an even number of toggles from 0
 }
 
+// -- decoded size: 2 payload bytes per entry, a whole value decoded --------
+
+/// `count` delta entries at time 0, each a repeat tag: 2 bytes apiece, each
+/// decoding to a full copy of the (zero) value.
+std::string wide_repeats(uint32_t count) {
+  std::string payload;
+  for (uint32_t i = 0; i < count; ++i) payload += std::string("\0\0", 2);
+  return payload;
+}
+
+TEST(BlockDecode, WideRepeatsPastTheValueBoundAreCorrupt) {
+  // 65536 repeats on an 8192-bit signal: a 128 KiB payload under the
+  // entry cap that would decode to 64 MiB of values.
+  constexpr uint32_t kWidth = 8192;
+  const std::string payload = wide_repeats(kWvxMaxBlockEntries);
+  ASSERT_GT(wvx_block_value_bytes(kWvxMaxBlockEntries, kWidth),
+            kWvxMaxBlockValueBytes);
+  DecodedBlock out;
+  try {
+    delta_codec().decode(payload.data(), payload.size(), kWvxMaxBlockEntries,
+                         kWidth, out);
+    FAIL() << "expected WvxError";
+  } catch (const WvxError& error) {
+    EXPECT_EQ(error.fault(), WvxFault::kCorrupt);
+    EXPECT_NE(std::string(error.what()).find("decodes past"),
+              std::string::npos);
+  }
+  EXPECT_EQ(out.times.capacity(), 0u);
+  EXPECT_EQ(out.wide.capacity(), 0u);
+  expect_corrupt(fixed_codec(), payload, kWvxMaxBlockEntries, kWidth);
+
+  // Exactly at the bound decodes; one entry more does not.
+  const uint32_t at_bound = static_cast<uint32_t>(
+      kWvxMaxBlockValueBytes / wvx_block_value_bytes(1, kWidth));
+  const std::string fits = wide_repeats(at_bound);
+  delta_codec().decode(fits.data(), fits.size(), at_bound, kWidth, out);
+  ASSERT_EQ(out.size(), at_bound);
+  EXPECT_TRUE(out.value(at_bound - 1).is_zero());
+  const std::string over = wide_repeats(at_bound + 1);
+  expect_corrupt(delta_codec(), over, at_bound + 1, kWidth);
+}
+
 class BlockCountTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -327,6 +371,120 @@ TEST_F(BlockCountTest, IndexRejectsOversizedBlockCount) {
     EXPECT_NE(std::string(error.what()).find("entry count"),
               std::string::npos);
   }
+}
+
+TEST_F(BlockCountTest, IndexRejectsWrappingBlockCount) {
+  // The second signal's block count is 2^64 - 1: added to the first
+  // signal's one block it wraps to 0, so the footer-size cap must be
+  // checked without the addition.
+  {
+    std::ofstream vcd(stem_ + ".vcd");
+    vcd << "$var wire 8 ! d $end\n$var wire 8 \" e $end\n"
+           "$enddefinitions $end\n#0\nb1 !\nb1 \"\n";
+  }
+  const std::string wvx = stem_ + ".wvx";
+  convert_vcd_to_index(stem_ + ".vcd", wvx);
+  std::string bytes = read_file(wvx);
+  uint64_t footer = 0;
+  for (int i = 7; i >= 0; --i) {
+    footer = (footer << 8) | static_cast<uint8_t>(bytes[12 + i]);
+  }
+  // Row "d": name_len, name, width, canonical, codec, block_count and one
+  // 36-byte checksummed block (58 bytes); then row "e" up to its count.
+  const size_t count_at = footer + 58 + 4 + 1 + 4 + 4 + 1;
+  ASSERT_EQ(static_cast<uint8_t>(bytes[count_at]), 1u);
+  for (int i = 0; i < 8; ++i) bytes[count_at + i] = '\xff';
+  {
+    std::ofstream out(wvx, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  try {
+    IndexedWaveform index(wvx);
+    FAIL() << "expected WvxError";
+  } catch (const WvxError& error) {
+    EXPECT_EQ(error.fault(), WvxFault::kCorrupt);
+    EXPECT_NE(std::string(error.what()).find("block count"),
+              std::string::npos);
+  }
+}
+
+TEST_F(BlockCountTest, IndexRejectsBlockPastTheValueBound) {
+  // A hand-built v4 file whose one directory entry claims 65536 repeats
+  // on an 8192-bit signal: rejected at open, before any block is read.
+  constexpr uint32_t kWidth = 8192;
+  const std::string payload = wide_repeats(kWvxMaxBlockEntries);
+  const std::string path = stem_ + ".wvx";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    auto u32 = [&](uint32_t value) {
+      for (int i = 0; i < 4; ++i) out.put(static_cast<char>(value >> (8 * i)));
+    };
+    auto u64 = [&](uint64_t value) {
+      for (int i = 0; i < 8; ++i) out.put(static_cast<char>(value >> (8 * i)));
+    };
+    u32(kWvxMagic);
+    u32(kWvxVersion);
+    u32(kWvxFlagDeltaCodec);
+    u64(kWvxHeaderSizeV2 + payload.size());  // footer offset
+    u64(0);                                  // max_time
+    u64(1);                                  // signal_count
+    out << payload;
+    u32(1);
+    out.put('w');
+    u32(kWidth);
+    u32(0);  // canonical
+    out.put(static_cast<char>(codec_id(delta_codec())));
+    u64(1);  // block_count
+    u64(0);  // start_time
+    u64(0);  // end_time
+    u64(kWvxHeaderSizeV2);
+    u32(kWvxMaxBlockEntries);
+    u32(static_cast<uint32_t>(payload.size()));
+  }
+  try {
+    IndexedWaveform index(path);
+    FAIL() << "expected WvxError";
+  } catch (const WvxError& error) {
+    EXPECT_EQ(error.fault(), WvxFault::kCorrupt);
+    EXPECT_NE(std::string(error.what()).find("decodes past"),
+              std::string::npos);
+  }
+  const auto result = verify_index(path);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.fault, WvxFault::kCorrupt);
+}
+
+TEST_F(BlockCountTest, WriterCapsWideSignalBlocksAtTheValueBound) {
+  // At the largest block capacity, a wide signal's blocks still end at
+  // the value bound, so the writer never produces what the reader
+  // rejects.
+  constexpr uint32_t kWidth = 8192;
+  const uint32_t at_bound = static_cast<uint32_t>(
+      kWvxMaxBlockValueBytes / wvx_block_value_bytes(1, kWidth));
+  IndexWriterOptions options;
+  options.block_capacity = kWvxMaxBlockEntries;
+  const std::string path = stem_ + ".wvx";
+  {
+    IndexWriter writer(path, options);
+    writer.on_signal(0, SignalInfo{"wide", kWidth});
+    writer.on_signal(1, SignalInfo{"narrow", 8});
+    const BitVector one(kWidth, 1);
+    for (uint64_t t = 0; t < at_bound + 100; ++t) {
+      writer.on_change(0, t, one);
+      writer.on_change(1, t, BitVector(8, t));
+    }
+    writer.on_finish(at_bound + 99);
+  }
+  IndexedWaveform index(path);
+  ASSERT_EQ(index.blocks(0).size(), 2u);
+  EXPECT_EQ(index.blocks(0)[0].count, at_bound);
+  EXPECT_EQ(index.blocks(0)[1].count, 100u);
+  // Narrow signals keep the requested capacity.
+  ASSERT_EQ(index.blocks(1).size(), 1u);
+  EXPECT_EQ(index.blocks(1)[0].count, at_bound + 100);
+  EXPECT_EQ(index.value_at(0, at_bound + 50), BitVector(kWidth, 1));
+  EXPECT_EQ(index.value_at(1, 300).to_uint64(), 300u % 256);
+  EXPECT_TRUE(verify_index(path).ok);
 }
 
 TEST_F(BlockCountTest, WriterRejectsOversizedBlockCapacity) {

@@ -1,13 +1,15 @@
-// Format-compatibility suite for the layered storage engine: v1/v2
-// fixtures must keep opening, verifying and replaying bit-identically
-// through the new codec layer; v3 must dedupe aliases and shrink the
-// file; files too small to be an index, short reads and reads past EOF
-// fail with typed faults.
+// Format-compatibility suite for the layered storage engine: committed
+// v2/v3 fixtures written by older releases, and a hand-built v1 file,
+// must keep opening, verifying and replaying bit-identically through the
+// codec layer; v4 must dedupe aliases and pick rle for clocks; files too
+// small to be an index, short reads and reads past EOF fail with typed
+// faults.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <random>
 
 #include "trace/replay.h"
@@ -20,6 +22,15 @@
 
 namespace hgdb::waveform {
 namespace {
+
+/// Committed fixtures: a deterministic VCD (clock, 8-bit counter, 80-bit
+/// wide signal, one cross-scope alias of the counter) and the indexes an
+/// older release's `hgdb-cli wvx-convert` wrote from it at each legacy
+/// layout (--v2, --v3, --v3 --fixed-codec, --fixed-codec).
+const std::string kGoldenVcd = HGDB_TEST_DATA_DIR "/fixtures/golden_v4.vcd";
+std::string fixture(const std::string& name) {
+  return HGDB_TEST_DATA_DIR "/fixtures/" + name;
+}
 
 uint64_t file_size(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -77,10 +88,10 @@ class FormatCompatTest : public ::testing::Test {
     out << text;
   }
 
-  /// Converts vcd_path_ with `options`, tracking the file for cleanup.
-  std::string convert(const std::string& tag, IndexWriterOptions options) {
+  /// Converts vcd_path_, tracking the file for cleanup.
+  std::string convert(const std::string& tag) {
     const std::string path = stem_ + "." + tag + ".wvx";
-    convert_vcd_to_index(vcd_path_, path, options);
+    convert_vcd_to_index(vcd_path_, path);
     produced_.push_back(path);
     return path;
   }
@@ -104,16 +115,14 @@ class FormatCompatTest : public ::testing::Test {
 };
 
 TEST_F(FormatCompatTest, V2FilesStillOpenVerifyAndReplayIdentically) {
-  write_vcd(synthetic_vcd(6, 60, 0));
-  auto trace = trace::parse_vcd_file(vcd_path_);
-
-  IndexWriterOptions v2;
-  v2.version = 2;
-  v2.block_capacity = 16;
-  const auto v2_path = convert("v2", v2);
+  auto trace = trace::parse_vcd_file(kGoldenVcd);
+  const auto v2_path = fixture("golden_v2.wvx");
   IndexedWaveform indexed(v2_path);
   EXPECT_EQ(indexed.version(), 2u);
   EXPECT_STREQ(indexed.codec_name(), "fixed");
+  // v2 has no alias table: the alias is a duplicated stream of its own.
+  EXPECT_EQ(trace.alias_count(), 1u);
+  EXPECT_EQ(indexed.alias_count(), 0u);
   expect_parity(indexed, trace);
 
   const auto result = verify_index(v2_path);
@@ -173,19 +182,13 @@ TEST_F(FormatCompatTest, V1FixtureStillOpensAndReplays) {
 }
 
 TEST_F(FormatCompatTest, V3DefaultsToDeltaCodecAndMatchesV2BitForBit) {
-  write_vcd(synthetic_vcd(8, 120, 0));
-  auto trace = trace::parse_vcd_file(vcd_path_);
-
-  IndexWriterOptions v2;
-  v2.version = 2;
-  const auto v2_path = convert("v2", v2);
-  IndexWriterOptions v3;
-  v3.version = 3;
-  const auto v3_path = convert("v3", v3);
-
+  auto trace = trace::parse_vcd_file(kGoldenVcd);
+  const auto v2_path = fixture("golden_v2.wvx");
+  const auto v3_path = fixture("golden_v3.wvx");
   IndexedWaveform two(v2_path), three(v3_path);
   EXPECT_EQ(three.version(), 3u);
   EXPECT_STREQ(three.codec_name(), "delta");
+  EXPECT_EQ(three.alias_count(), 1u);
   expect_parity(two, trace);
   expect_parity(three, trace);
 
@@ -195,36 +198,46 @@ TEST_F(FormatCompatTest, V3DefaultsToDeltaCodecAndMatchesV2BitForBit) {
 }
 
 TEST_F(FormatCompatTest, V3FixedCodecContainerIsAlsoReadable) {
-  write_vcd(synthetic_vcd(4, 40, 0));
-  auto trace = trace::parse_vcd_file(vcd_path_);
-  IndexWriterOptions options;
-  options.version = 3;
-  options.delta_codec = false;
-  const auto path = convert("v3fixed", options);
-  IndexedWaveform indexed(path);
+  auto trace = trace::parse_vcd_file(kGoldenVcd);
+  IndexedWaveform indexed(fixture("golden_v3_fixed.wvx"));
   EXPECT_EQ(indexed.version(), 3u);
   EXPECT_STREQ(indexed.codec_name(), "fixed");
   expect_parity(indexed, trace);
 }
 
+TEST_F(FormatCompatTest, V4FixedCodecFixtureIsAlsoReadable) {
+  // Written with codec auto-selection off: every stream, the clock
+  // included, carries the fixed codec id in its footer row.
+  auto trace = trace::parse_vcd_file(kGoldenVcd);
+  const auto path = fixture("golden_v4_fixed.wvx");
+  IndexedWaveform indexed(path);
+  EXPECT_EQ(indexed.version(), 4u);
+  EXPECT_STREQ(indexed.codec_name(), "fixed");
+  for (size_t i = 0; i < indexed.signal_count(); ++i) {
+    EXPECT_STREQ(indexed.signal_codec_name(i), "fixed") << i;
+  }
+  expect_parity(indexed, trace);
+
+  const auto result = verify_index(path);
+  EXPECT_TRUE(result.ok);
+  EXPECT_EQ(result.version, 4u);
+  EXPECT_EQ(result.codec, "fixed");
+}
+
 TEST_F(FormatCompatTest, AliasDedupKeepsParityAndShrinksTheFile) {
   // Heavy aliasing: 3 extra names per net. Queries through every aliased
-  // name must match the in-memory backend exactly, while the dedup file
-  // stores one stream per net.
+  // name must match the in-memory backend exactly, while the file stores
+  // one stream per net.
+  write_vcd(synthetic_vcd(6, 80, 0));
+  const auto plain_path = convert("plain");
   write_vcd(synthetic_vcd(6, 80, 18));
   auto trace = trace::parse_vcd_file(vcd_path_);
   EXPECT_EQ(trace.alias_count(), 18u);
+  const auto dedup_path = convert("dedup");
 
-  const auto dedup_path = convert("dedup", IndexWriterOptions{});
-  IndexWriterOptions no_dedup;
-  no_dedup.dedup_aliases = false;
-  const auto dup_path = convert("dup", no_dedup);
-
-  IndexedWaveform deduped(dedup_path), duplicated(dup_path);
+  IndexedWaveform deduped(dedup_path);
   EXPECT_EQ(deduped.alias_count(), 18u);
-  EXPECT_EQ(duplicated.alias_count(), 0u);
   expect_parity(deduped, trace);
-  expect_parity(duplicated, trace);
 
   // Aliased queries resolve to the canonical signal's stream and share
   // its cache entries.
@@ -234,12 +247,95 @@ TEST_F(FormatCompatTest, AliasDedupKeepsParityAndShrinksTheFile) {
   EXPECT_EQ(deduped.canonical_index(*alias), *canonical);
   EXPECT_EQ(deduped.value_at(*alias, 33), deduped.value_at(*canonical, 33));
 
-  // Dedup must save real space: 18 duplicated streams vs. 18 footer rows.
-  EXPECT_LT(file_size(dedup_path), file_size(dup_path) * 3 / 4);
+  // The same dump without the aliases differs by their footer rows only
+  // (u32 name_len, name, u32 width, u32 canonical each): 18 names cost
+  // no change stream.
+  uint64_t alias_rows = 0;
+  for (size_t i = 0; i < trace.signal_count(); ++i) {
+    if (trace.canonical_index(i) != i) {
+      alias_rows += 12 + trace.signal(i).hier_name.size();
+    }
+  }
+  EXPECT_EQ(file_size(dedup_path) - file_size(plain_path), alias_rows);
 
   const auto result = verify_index(dedup_path);
   EXPECT_TRUE(result.ok);
   EXPECT_EQ(result.aliases, 18u);
+}
+
+TEST_F(FormatCompatTest, AliasWidthMismatchIsCorrupt) {
+  // The fixture's last footer row is the alias top.sub.count_alias:
+  // u32 name_len, name, u32 width, u32 canonical. An alias is served from
+  // its owner's 8-bit stream, so any other declared width is corrupt.
+  for (const char* name : {"golden_v3.wvx", "golden_v4.wvx"}) {
+    SCOPED_TRACE(name);
+    std::ifstream in(fixture(name), std::ios::binary);
+    std::string bytes(std::istreambuf_iterator<char>(in), {});
+    ASSERT_EQ(static_cast<uint8_t>(bytes[bytes.size() - 8]), 8u);
+    bytes[bytes.size() - 8] = 16;
+    const std::string path = stem_ + ".alias_width.wvx";
+    produced_.push_back(path);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    try {
+      IndexedWaveform indexed(path);
+      FAIL() << "expected WvxError";
+    } catch (const WvxError& error) {
+      EXPECT_EQ(error.fault(), WvxFault::kCorrupt);
+      EXPECT_NE(std::string(error.what()).find("alias width"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST_F(FormatCompatTest, DirectoryTimesMustMatchTheBlocks) {
+  // The fixture's first footer row is the clock (3 blocks: 0-255,
+  // 256-511, 512-600): u32 name_len, name, u32 width, u32 canonical,
+  // u8 codec, u64 block_count, then per block u64 start, u64 end, ...
+  // (36 bytes with checksums).
+  std::ifstream in(fixture("golden_v4.wvx"), std::ios::binary);
+  const std::string golden(std::istreambuf_iterator<char>(in), {});
+  auto u64_at = [&](size_t at) {
+    uint64_t value = 0;
+    for (int i = 7; i >= 0; --i) {
+      value = value << 8 | static_cast<uint8_t>(golden[at + i]);
+    }
+    return value;
+  };
+  const size_t footer = u64_at(12);
+  const size_t blocks = footer + 4 + golden[footer] + 4 + 4 + 1 + 8;
+  ASSERT_EQ(u64_at(blocks + 36), 256u);
+  const std::string path = stem_ + ".times.wvx";
+  produced_.push_back(path);
+  auto write_patched = [&](size_t at, uint64_t value) {
+    std::string bytes = golden;
+    for (int i = 0; i < 8; ++i) bytes[at + i] = static_cast<char>(value >> (8 * i));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  };
+
+  // Block 1 claims to start after block 2: seeks would binary-search an
+  // unsorted directory and silently answer from the wrong block.
+  write_patched(blocks + 36, uint64_t{1} << 32);
+  try {
+    IndexedWaveform indexed(path);
+    FAIL() << "expected WvxError";
+  } catch (const WvxError& error) {
+    EXPECT_EQ(error.fault(), WvxFault::kCorrupt);
+    EXPECT_NE(std::string(error.what()).find("out of time order"),
+              std::string::npos);
+  }
+
+  // Block 0 claims to end at 254, still in order, but its payload ends
+  // at 255: the first load of that block is corrupt.
+  write_patched(blocks + 8, 254);
+  IndexedWaveform indexed(path);
+  EXPECT_THROW((void)indexed.value_at(0, 100), WvxError);
+  const auto result = verify_index(path);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.fault, WvxFault::kCorrupt);
 }
 
 TEST_F(FormatCompatTest, InMemoryTraceDedupesAliasStorageToo) {
@@ -287,7 +383,7 @@ TEST_F(FormatCompatTest, EmptyAndShortFilesAreBadMagic) {
 
 TEST_F(FormatCompatTest, TruncatedDirectoryFailsWithTypedFault) {
   write_vcd(synthetic_vcd(3, 30, 0));
-  const auto path = convert("trunc", IndexWriterOptions{});
+  const auto path = convert("trunc");
 
   // Cut the last 5 bytes: the footer now ends mid-directory-entry, which
   // must surface as the typed truncated-directory fault, not a generic
@@ -329,7 +425,7 @@ TEST_F(FormatCompatTest, AliasHeavyShortNameFilesPassTheFooterSanityCap) {
   }
   vcd += "$enddefinitions $end\n#0\nb101 d\n#5\nb111 d\n";
   write_vcd(vcd);
-  const auto path = convert("short", IndexWriterOptions{});
+  const auto path = convert("short");
   IndexedWaveform indexed(path);
   EXPECT_EQ(indexed.signal_count(), 1 + aliases.size());
   EXPECT_EQ(indexed.alias_count(), aliases.size());
@@ -338,15 +434,12 @@ TEST_F(FormatCompatTest, AliasHeavyShortNameFilesPassTheFooterSanityCap) {
 }
 
 TEST_F(FormatCompatTest, VerifyReportsVersionAndCodec) {
-  write_vcd(synthetic_vcd(2, 20, 2));
-  IndexWriterOptions v3;
-  v3.version = 3;
-  const auto path = convert("report", v3);
+  const auto path = fixture("golden_v3.wvx");
   const auto result = verify_index(path);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.version, 3u);
   EXPECT_EQ(result.codec, "delta");
-  EXPECT_EQ(result.aliases, 2u);
+  EXPECT_EQ(result.aliases, 1u);
   const std::string text = describe(result, path);
   EXPECT_NE(text.find("format v3"), std::string::npos);
   EXPECT_NE(text.find("delta codec"), std::string::npos);
@@ -372,11 +465,7 @@ TEST_F(FormatCompatTest, V4AutoSelectsRlePerSignalAndKeepsParity) {
   write_vcd(vcd);
   auto trace = trace::parse_vcd_file(vcd_path_);
 
-  const auto v4_path = convert("v4", IndexWriterOptions{});
-  IndexWriterOptions v3;
-  v3.version = 3;
-  const auto v3_path = convert("v3", v3);
-
+  const auto v4_path = convert("v4");
   IndexedWaveform four(v4_path);
   EXPECT_EQ(four.version(), 4u);
   EXPECT_STREQ(four.codec_name(), "delta");  // the file default
@@ -386,9 +475,20 @@ TEST_F(FormatCompatTest, V4AutoSelectsRlePerSignalAndKeepsParity) {
   EXPECT_STREQ(four.signal_codec_name(*four.signal_index("top.bus")), "delta");
   expect_parity(four, trace);
 
-  // The clock stream collapses to a few bytes per block, so the v4 file
-  // must be smaller than the same dump pinned at v3.
-  EXPECT_LT(file_size(v4_path), file_size(v3_path));
+  // The clock stream collapses to a few bytes per block: smaller than the
+  // delta encoding of the same changes.
+  const size_t clk = *four.signal_index("top.clk");
+  uint64_t rle_bytes = 0;
+  for (const auto& block : four.blocks(clk)) rle_bytes += block.payload_bytes;
+  std::vector<uint64_t> times;
+  std::vector<common::BitVector> values;
+  for (const auto& [time, value] : trace.changes(clk)) {
+    times.push_back(time);
+    values.push_back(value);
+  }
+  std::string delta;
+  delta_codec().encode(times.data(), values.data(), values.size(), 1, delta);
+  EXPECT_LT(rle_bytes, delta.size());
 
   const auto result = verify_index(v4_path);
   EXPECT_TRUE(result.ok);
@@ -402,7 +502,7 @@ TEST_F(FormatCompatTest, V4ShortOneBitStreamsKeepTheFileDefault) {
       "$var wire 1 c tick $end\n$enddefinitions $end\n"
       "#0\n1c\n#1\n0c\n#2\n1c\n#3\n0c\n";
   write_vcd(vcd);
-  const auto path = convert("short1", IndexWriterOptions{});
+  const auto path = convert("short1");
   IndexedWaveform indexed(path);
   EXPECT_STREQ(indexed.signal_codec_name(0), "delta");
   EXPECT_TRUE(verify_index(path).ok);

@@ -5,13 +5,13 @@ Compares the tracked ratios of a fresh bench run against the matching
 file under bench/baselines/ and fails (exit 1) when any ratio dropped
 more than --max-drop (default 30%) below the baseline value. Tracked
 ratios are in-process comparisons of the same two measurements (speedups,
-size savings, compression ratios), so they are far more stable across
-runner hardware than absolute timings — which is why the gate tracks
-them and not the raw numbers.
+compression ratios), so they are far more stable across runner hardware
+than absolute timings — which is why the gate tracks them and not the
+raw numbers.
 
 A report's top-level "gates" object maps name -> ratio
-(BENCH_waveform.json: open_vs_parse_speedup, v3_size_savings,
-rle_clock_compression; BENCH_fanout.json: binary_fanout_speedup).
+(BENCH_waveform.json: open_vs_parse_speedup, rle_clock_compression;
+BENCH_fanout.json: binary_fanout_speedup).
 
 Reports may also carry a top-level "ceilings" object of name -> upper
 bound. Ceilings gate in the opposite direction and with no drop budget:
