@@ -6,7 +6,8 @@
 //   - native simulator get_value (the per-breakpoint hot path)
 //   - in-memory symbol-table queries
 //   - SQLite symbol-table queries
-//   - a full debugger evaluation round-trip over in-process RPC
+//   - a full debugger evaluation round-trip over an in-process Unix
+//     socketpair (rpc::make_channel_pair)
 //   - the same round-trip over loopback TCP
 //
 // Expected shape: native value reads are orders of magnitude cheaper than

@@ -53,10 +53,9 @@ enum class LockRank : int {
   kSessionTransport = 35,   ///< Per-connection protocol state + socket writes
   kWaveform = 30,           ///< Waveform reader cache / writer backend
   kObs = 20,                ///< MetricsRegistry map, trace string interning
-  kRpcWriter = 15,          ///< EventWriter target queues (above kRpc: the
-                            ///< in-process flush path sends through a
-                            ///< Channel, whose queues lock at kRpc)
-  kRpc = 10,                ///< Channel queues, socket send/receive
+  kRpcWriter = 15,          ///< EventWriter target queues (flushes are
+                            ///< non-blocking sendmsg; no rpc lock nests)
+  kRpc = 10,                ///< Socket channel send/receive
 };
 
 [[nodiscard]] constexpr const char* to_string(LockRank rank) {

@@ -36,9 +36,9 @@ struct ValueEvent {
 };
 
 /// Synchronous debugger client speaking the JSON debug protocol over any
-/// rpc::Channel (in-process pair, or TCP to a remote runtime). This is the
-/// programmatic equivalent of the paper's gdb-like debugger; the VSCode
-/// extension in the paper speaks the same protocol.
+/// rpc::Channel (in-process socketpair, or TCP to a remote runtime). This
+/// is the programmatic equivalent of the paper's gdb-like debugger; the
+/// VSCode extension in the paper speaks the same protocol.
 ///
 /// Every request is a protocol v2 envelope: connect() performs the
 /// handshake and records the runtime's negotiated capabilities, and failed

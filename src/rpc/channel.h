@@ -11,10 +11,10 @@ namespace hgdb::rpc {
 
 /// A duplex, message-oriented transport endpoint. The debug protocol
 /// (paper Sec. 3.5: debuggers connect to the runtime over an RPC protocol
-/// similar to the gdb remote protocol) runs over any Channel:
-/// an in-process pair for same-process debuggers and tests, or loopback
-/// TCP with length framing standing in for the paper's WebSocket (see
-/// DESIGN.md substitutions).
+/// similar to the gdb remote protocol) runs over any Channel. Every
+/// Channel is a socket with 4-byte length framing: a Unix socketpair for
+/// same-process debuggers and tests, or loopback TCP standing in for the
+/// paper's WebSocket (see DESIGN.md substitutions).
 class Channel {
  public:
   virtual ~Channel() = default;
@@ -32,16 +32,17 @@ class Channel {
   virtual void close() = 0;
   [[nodiscard]] virtual bool closed() const = 0;
 
-  /// The underlying socket descriptor, or -1 for in-process transports.
-  /// The async event writer uses it to bypass send() with coalesced
-  /// non-blocking scatter writes; once a session goes binary, *all*
-  /// outbound traffic must route through that single writer (two writers
-  /// on one fd would interleave and corrupt the framing).
-  [[nodiscard]] virtual int native_handle() const { return -1; }
+  /// The underlying socket descriptor. The async event writer uses it to
+  /// bypass send() with coalesced non-blocking scatter writes; once a
+  /// session is attached, *all* outbound traffic must route through that
+  /// single writer (two writers on one fd would interleave and corrupt
+  /// the framing).
+  [[nodiscard]] virtual int native_handle() const = 0;
 };
 
-/// Creates a connected in-process channel pair (A's sends appear at B and
-/// vice versa). Both endpoints are thread-safe.
+/// Creates a connected channel pair over a Unix socketpair (A's sends
+/// appear at B and vice versa). Both endpoints are thread-safe. Defined
+/// in tcp.cc, next to the socket channel it instantiates.
 std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>> make_channel_pair();
 
 }  // namespace hgdb::rpc

@@ -97,8 +97,8 @@ struct OutboundFrame {
   [[nodiscard]] size_t size() const {
     return header_size + body.size();
   }
-  /// The frame as a Channel message (everything after the 4-byte length
-  /// prefix) — the in-process fallback path, where the Channel re-frames.
+  /// The frame as the peer's Channel::receive returns it (everything
+  /// after the 4-byte length prefix).
   [[nodiscard]] std::string channel_message() const;
 };
 

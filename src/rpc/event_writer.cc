@@ -44,11 +44,13 @@ EventWriter::~EventWriter() {
 }
 
 uint64_t EventWriter::add_target(Target target) {
+  if (target.fd < 0) {
+    throw std::invalid_argument("event writer: target has no socket");
+  }
   const common::LockGuard lock(mutex_);
   const uint64_t id = next_id_++;
   TargetState& state = targets_[id];
   state.fd = target.fd;
-  state.send = std::move(target.send);
   state.on_dead = std::move(target.on_dead);
   state.bytes_sent = target.bytes_sent;
   if (!thread_started_) {
@@ -60,8 +62,8 @@ uint64_t EventWriter::add_target(Target target) {
 
 EventWriter::Enqueue EventWriter::enqueue(uint64_t id, OutboundFrame frame,
                                           bool force) {
-  bool dropped_disconnect = false;
-  std::function<void()> on_dead;
+  std::vector<std::function<void()>> deferred;
+  bool disconnected = false;
   {
     const common::LockGuard lock(mutex_);
     auto it = targets_.find(id);
@@ -75,22 +77,17 @@ EventWriter::Enqueue EventWriter::enqueue(uint64_t id, OutboundFrame frame,
         state.queued_bytes + frame_size > max_queue_bytes_;
     if (!force && (over_frames || over_bytes)) {
       if (events_dropped_ != nullptr) events_dropped_->add();
-      if (disconnect_on_overflow_) {
-        state.dead = true;
-        state.queue.clear();
-        state.queued_bytes = 0;
-        on_dead = std::move(state.on_dead);
-        dropped_disconnect = true;
-      }
-      if (!dropped_disconnect) return Enqueue::Dropped;
+      if (!disconnect_on_overflow_) return Enqueue::Dropped;
+      mark_dead_locked(state, deferred);
+      disconnected = true;
     } else {
       state.queued_bytes += frame_size;
       state.queue.push_back(Pending{std::move(frame), 0});
       if (queue_depth_ != nullptr) queue_depth_->record(state.queue.size());
     }
   }
-  if (dropped_disconnect) {
-    if (on_dead) on_dead();
+  if (disconnected) {
+    if (!deferred.empty()) run_deferred(deferred);
     return Enqueue::Dropped;
   }
   wake();
@@ -98,8 +95,11 @@ EventWriter::Enqueue EventWriter::enqueue(uint64_t id, OutboundFrame frame,
 }
 
 void EventWriter::remove_target(uint64_t id) {
-  const common::LockGuard lock(mutex_);
+  common::UniqueLock lock(mutex_);
   targets_.erase(id);
+  // A callback taken before the erase may still be running off-lock;
+  // once it retires, nothing of this target can run.
+  while (callbacks_in_flight_ != 0) callbacks_done_.wait(lock);
 }
 
 bool EventWriter::drain(uint64_t id, std::chrono::milliseconds timeout) {
@@ -185,31 +185,11 @@ bool EventWriter::flush_fd_locked(TargetState& target) {
   return true;
 }
 
-bool EventWriter::flush_channel_locked(TargetState& target) {
-  while (!target.queue.empty()) {
-    Pending& front = target.queue.front();
-    const std::string message = front.frame.channel_message();
-    bool ok = false;
-    try {
-      ok = target.send(message);
-    } catch (...) {
-      ok = false;
-    }
-    if (!ok) return false;
-    if (target.bytes_sent != nullptr) target.bytes_sent->add(message.size());
-    target.queued_bytes -= front.frame.size();
-    target.queue.pop_front();
-  }
-  return true;
-}
-
 void EventWriter::flush_all_locked(
     std::vector<std::function<void()>>& deferred) {
   for (auto& [id, target] : targets_) {
     if (target.dead || target.queue.empty()) continue;
-    const bool alive = target.fd >= 0 ? flush_fd_locked(target)
-                                      : flush_channel_locked(target);
-    if (!alive) mark_dead_locked(target, deferred);
+    if (!flush_fd_locked(target)) mark_dead_locked(target, deferred);
   }
 }
 
@@ -218,26 +198,39 @@ void EventWriter::mark_dead_locked(
   target.dead = true;
   target.queue.clear();
   target.queued_bytes = 0;
-  if (target.on_dead) deferred.push_back(std::move(target.on_dead));
+  if (target.on_dead) {
+    deferred.push_back(std::move(target.on_dead));
+    ++callbacks_in_flight_;
+  }
+}
+
+void EventWriter::run_deferred(std::vector<std::function<void()>>& deferred) {
+  for (auto& callback : deferred) callback();
+  const size_t ran = deferred.size();
+  deferred.clear();
+  {
+    const common::LockGuard lock(mutex_);
+    callbacks_in_flight_ -= ran;
+  }
+  callbacks_done_.notify_all();
 }
 
 void EventWriter::loop() {
   std::vector<std::function<void()>> deferred;
   std::vector<struct pollfd> fds;
   while (!stop_.load(std::memory_order_acquire)) {
-    deferred.clear();
     fds.clear();
     fds.push_back({wake_pipe_[0], POLLIN, 0});
     {
       const common::LockGuard lock(mutex_);
       flush_all_locked(deferred);
       for (auto& [id, target] : targets_) {
-        if (!target.dead && target.fd >= 0 && !target.queue.empty()) {
+        if (!target.dead && !target.queue.empty()) {
           fds.push_back({target.fd, POLLOUT, 0});
         }
       }
     }
-    for (auto& callback : deferred) callback();
+    if (!deferred.empty()) run_deferred(deferred);
     if (stop_.load(std::memory_order_acquire)) break;
     (void)::poll(fds.data(), fds.size(), -1);
     if ((fds[0].revents & POLLIN) != 0) {

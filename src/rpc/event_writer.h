@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -37,13 +38,14 @@ namespace hgdb::rpc {
 /// `force = true`: they are request-paced, so they bypass the bound
 /// rather than vanish mid-handshake.
 ///
+/// Every target is a socket: TCP connections and in-process socketpairs
+/// (rpc::make_channel_pair) flush through the same sendmsg path.
+///
 /// Locking: one WriterMutex (rank rpc::writer, 15) guards the target
-/// table and all queues. Flushes run *with the mutex held* — the socket
-/// path is non-blocking by construction (MSG_DONTWAIT) and the in-process
-/// channel fallback is a fast queue push at rank rpc (10), a legal
-/// acquisition under 15 — which makes remove_target() trivially safe: no
-/// fd or callback can be in use once it returns. on_dead callbacks are
-/// deferred and run with the mutex released.
+/// table and all queues. Flushes run *with the mutex held* — sendmsg is
+/// non-blocking by construction (MSG_DONTWAIT) — so no fd is in use once
+/// remove_target() returns. on_dead callbacks are deferred and run with
+/// the mutex released; remove_target() waits for any that are in flight.
 class EventWriter {
  public:
   struct Options {
@@ -57,19 +59,14 @@ class EventWriter {
     obs::MetricsRegistry* metrics = nullptr;
   };
 
-  /// One delivery endpoint. Exactly one of `fd` / `send` carries the
-  /// bytes: a real socket flushes via sendmsg on `fd`; an in-process
-  /// channel (fd < 0) flushes via `send`, which receives the Channel
-  /// message (no 4-byte length prefix — the channel re-frames) and
-  /// returns false when the peer is gone. `send` must be fast and
-  /// non-blocking: it is called with the writer mutex held.
+  /// One delivery endpoint: a connected socket the writer flushes with
+  /// non-blocking sendmsg.
   struct Target {
     int fd = -1;
-    std::function<bool(std::string_view)> send;
-    /// Fired (off-lock, on the writer thread) when the target dies:
-    /// write error, send() failure, or overflow disconnect. Keep it
-    /// minimal — mark the session dead and close its channel; never call
-    /// back into the service layer.
+    /// Fired (off-lock) when the target dies: a write error on the
+    /// writer thread, or an overflow disconnect on the enqueuing thread.
+    /// Keep it minimal — mark the session dead and close its channel;
+    /// never call back into the service layer or into remove_target().
     std::function<void()> on_dead;
     /// Per-front-end byte counter, bumped by flushed bytes. Optional.
     obs::Counter* bytes_sent = nullptr;
@@ -88,7 +85,8 @@ class EventWriter {
   EventWriter& operator=(const EventWriter&) = delete;
 
   /// Registers a delivery endpoint; starts the loop thread on first use.
-  /// Returns the id enqueue()/remove_target() address it by.
+  /// Returns the id enqueue()/remove_target() address it by. Throws
+  /// std::invalid_argument when `target.fd` is negative.
   uint64_t add_target(Target target) HGDB_EXCLUDES(mutex_);
 
   /// Queues a frame for a target. `force` bypasses the queue bound
@@ -97,7 +95,8 @@ class EventWriter {
       HGDB_EXCLUDES(mutex_);
 
   /// Unregisters a target and discards its queue. On return the writer
-  /// holds no reference to the target's fd or callbacks. Idempotent.
+  /// holds no reference to the target's fd and no on_dead callback is
+  /// running or will run. Idempotent.
   void remove_target(uint64_t id) HGDB_EXCLUDES(mutex_);
 
   /// Blocks until the target's queue is empty, the target is dead or
@@ -111,12 +110,11 @@ class EventWriter {
  private:
   struct Pending {
     OutboundFrame frame;
-    size_t offset = 0;  ///< bytes of `frame` already written (fd targets)
+    size_t offset = 0;  ///< bytes of `frame` already written
   };
 
   struct TargetState {
     int fd = -1;
-    std::function<bool(std::string_view)> send;
     std::function<void()> on_dead;
     obs::Counter* bytes_sent = nullptr;
     std::deque<Pending> queue;
@@ -133,10 +131,15 @@ class EventWriter {
   /// coalescing up to kMaxIov spans per sendmsg. Returns false on a dead
   /// socket (caller marks the target dead).
   bool flush_fd_locked(TargetState& target) HGDB_REQUIRES(mutex_);
-  bool flush_channel_locked(TargetState& target) HGDB_REQUIRES(mutex_);
+  /// Marks a target dead and moves its on_dead into `deferred`, counting
+  /// it in callbacks_in_flight_.
   void mark_dead_locked(TargetState& target,
                         std::vector<std::function<void()>>& deferred)
       HGDB_REQUIRES(mutex_);
+  /// Runs deferred on_dead callbacks off-lock, then retires them from
+  /// callbacks_in_flight_.
+  void run_deferred(std::vector<std::function<void()>>& deferred)
+      HGDB_EXCLUDES(mutex_);
   void wake();
 
   const size_t max_queue_frames_;
@@ -153,6 +156,9 @@ class EventWriter {
   std::map<uint64_t, TargetState> targets_ HGDB_GUARDED_BY(mutex_);
   uint64_t next_id_ HGDB_GUARDED_BY(mutex_) = 1;
   bool thread_started_ HGDB_GUARDED_BY(mutex_) = false;
+  /// on_dead callbacks taken from dead targets and not yet finished.
+  size_t callbacks_in_flight_ HGDB_GUARDED_BY(mutex_) = 0;
+  std::condition_variable_any callbacks_done_;
 
   std::atomic<bool> stop_{false};
   int wake_pipe_[2] = {-1, -1};

@@ -5,7 +5,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -22,7 +21,8 @@ namespace {
   throw std::runtime_error("tcp: " + what + " (" + std::strerror(errno) + ")");
 }
 
-/// Blocking socket channel with 4-byte big-endian length prefixes.
+/// Blocking socket channel with 4-byte big-endian length prefixes, over
+/// a TCP connection or one end of a Unix socketpair.
 ///
 /// close() is called cross-thread (a session reader's cleanup racing the
 /// manager's shutdown), so it only ::shutdown()s the socket — safe on a
@@ -134,42 +134,6 @@ class SocketStream final : public ByteStream {
     return true;
   }
 
-  bool send_bytes_gather(const std::string_view* parts,
-                         size_t count) override {
-    common::LockGuard lock(send_mutex_);
-    if (closed_.load(std::memory_order_acquire)) return false;
-    // One writev for the common header+payload pair; fall back to the
-    // byte loop for whatever a short write leaves behind.
-    constexpr size_t kMaxParts = 8;
-    while (count > 0) {
-      struct iovec iov[kMaxParts];
-      const size_t batch = count < kMaxParts ? count : kMaxParts;
-      for (size_t i = 0; i < batch; ++i) {
-        iov[i].iov_base = const_cast<char*>(parts[i].data());
-        iov[i].iov_len = parts[i].size();
-      }
-      struct msghdr msg {};
-      msg.msg_iov = iov;
-      msg.msg_iovlen = batch;
-      const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-      if (n < 0) return false;
-      size_t written = static_cast<size_t>(n);
-      // Advance past fully-written parts; finish a split part inline.
-      size_t consumed = 0;
-      while (consumed < batch && written >= parts[consumed].size()) {
-        written -= parts[consumed].size();
-        ++consumed;
-      }
-      if (consumed < batch && written > 0) {
-        if (!write_rest(parts[consumed].substr(written))) return false;
-        ++consumed;
-      }
-      parts += consumed;
-      count -= consumed;
-    }
-    return true;
-  }
-
   std::optional<std::string> receive_some() override {
     if (closed_.load(std::memory_order_acquire)) return std::nullopt;
     char buffer[4096];
@@ -185,18 +149,6 @@ class SocketStream final : public ByteStream {
   }
 
  private:
-  /// Finishes a part a short writev split, while send_mutex_ is held.
-  bool write_rest(std::string_view rest) {
-    size_t written = 0;
-    while (written < rest.size()) {
-      const ssize_t n = ::send(fd_, rest.data() + written,
-                               rest.size() - written, MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      written += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
   const int fd_;
   std::atomic<bool> closed_{false};
   common::RpcMutex send_mutex_{"tcp::stream_send"};
@@ -276,6 +228,16 @@ void TcpServer::close() {
   if (!closed_.exchange(true, std::memory_order_acq_rel)) {
     ::shutdown(fd_, SHUT_RDWR);
   }
+}
+
+std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>>
+make_channel_pair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    fail("socketpair");
+  }
+  return {std::make_unique<SocketChannel>(fds[0]),
+          std::make_unique<SocketChannel>(fds[1])};
 }
 
 std::unique_ptr<Channel> tcp_connect(const std::string& host, uint16_t port) {

@@ -22,25 +22,15 @@ class ByteStream {
 
   /// Writes the whole buffer; false once the peer is gone.
   virtual bool send_bytes(std::string_view bytes) = 0;
-  /// Writes `count` buffers back to back. Socket transports override this
-  /// with one locked writev so header+payload cost a single syscall and
-  /// cannot interleave with concurrent senders; the default loops over
-  /// send_bytes (callers needing atomicity must serialize externally).
-  virtual bool send_bytes_gather(const std::string_view* parts, size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      if (!send_bytes(parts[i])) return false;
-    }
-    return true;
-  }
   /// Blocks for the next chunk of bytes (any size >= 1). nullopt on EOF or
   /// when the stream is closed.
   virtual std::optional<std::string> receive_some() = 0;
   /// Closes the stream; a blocked receive_some wakes with nullopt.
   virtual void close() = 0;
-  /// The underlying socket descriptor, or -1 for non-socket streams. Like
-  /// Channel::native_handle, this lets the async event writer own the fd's
-  /// outbound side with coalesced non-blocking writes.
-  [[nodiscard]] virtual int native_handle() const { return -1; }
+  /// The underlying socket descriptor. Like Channel::native_handle, this
+  /// lets the async event writer own the fd's outbound side with
+  /// coalesced non-blocking writes.
+  [[nodiscard]] virtual int native_handle() const = 0;
 };
 
 /// Loopback TCP transport with 4-byte big-endian length framing. This is

@@ -347,11 +347,7 @@ size_t Runtime::watchpoint_count() const {
 void Runtime::collect_watch_hits(std::vector<rpc::WatchHit>& hits) {
   common::LockGuard lock(state_mutex_);
   if (watchpoints_.empty()) return;
-  // Timestamp only when stats are on: clock reads are not free on the
-  // per-edge path the Fig. 5 overhead budget protects.
-  const auto t0 = options_.collect_stats
-                      ? std::chrono::steady_clock::now()
-                      : std::chrono::steady_clock::time_point{};
+  const auto t0 = std::chrono::steady_clock::now();
 
   ensure_edge_values_locked();
 
@@ -381,11 +377,9 @@ void Runtime::collect_watch_hits(std::vector<rpc::WatchHit>& hits) {
   if (counts.skipped != 0) {
     HGDB_TRACE_INSTANT("runtime", "dirty_skips", counts.skipped);
   }
-  if (options_.collect_stats) {
-    const uint64_t elapsed = elapsed_ns(t0);
-    stats_.eval_ns->add(elapsed);
-    stats_.batch_eval_ns->record(elapsed);
-  }
+  const uint64_t elapsed = elapsed_ns(t0);
+  stats_.eval_ns->add(elapsed);
+  stats_.batch_eval_ns->record(elapsed);
 }
 
 void Runtime::set_stop_handler(StopHandler handler) {
@@ -631,15 +625,11 @@ std::shared_ptr<const CompiledExpression> Runtime::compile_shared(
   std::string key = expr.cache_key();
   auto it = program_cache_.find(key);
   if (it != program_cache_.end()) {
-    if (options_.collect_stats) {
-      stats_.program_cache_hits->add(1);
-    }
+    stats_.program_cache_hits->add(1);
     return it->second;
   }
   auto program = std::make_shared<const CompiledExpression>(expr.compile());
-  if (options_.collect_stats) {
-    stats_.programs_compiled->add(1);
-  }
+  stats_.programs_compiled->add(1);
   if (persist) program_cache_.emplace(std::move(key), program);
   return program;
 }
@@ -782,10 +772,8 @@ void Runtime::ensure_edge_values_locked() {
         }
       }
     }
-    if (options_.collect_stats) {
-      stats_.batch_fetches->add(1);
-      stats_.batch_signals->add(count);
-    }
+    stats_.batch_fetches->add(1);
+    stats_.batch_signals->add(count);
   }
   edge_values_fresh_ = true;
   values_stale_ = false;
@@ -1050,9 +1038,7 @@ void Runtime::evaluate_batch(const Batch& batch, bool respect_inserted,
   common::LockGuard lock(state_mutex_);
   HGDB_TRACE_SPAN_VAR(eval_span, "runtime", "evaluate_batch");
   eval_span.set_arg(batch.members.size());
-  const auto t0 = options_.collect_stats
-                      ? std::chrono::steady_clock::now()
-                      : std::chrono::steady_clock::time_point{};
+  const auto t0 = std::chrono::steady_clock::now();
   ensure_edge_values_locked();
 
   // Fig. 2 step 2, one member after another on the calling thread: a
@@ -1071,11 +1057,9 @@ void Runtime::evaluate_batch(const Batch& batch, bool respect_inserted,
   if (counts.skipped != 0) {
     HGDB_TRACE_INSTANT("runtime", "dirty_skips", counts.skipped);
   }
-  if (options_.collect_stats) {
-    const uint64_t elapsed = elapsed_ns(t0);
-    stats_.eval_ns->add(elapsed);
-    stats_.batch_eval_ns->record(elapsed);
-  }
+  const uint64_t elapsed = elapsed_ns(t0);
+  stats_.eval_ns->add(elapsed);
+  stats_.batch_eval_ns->record(elapsed);
 }
 
 bool Runtime::evaluate_member_locked(Breakpoint& bp, bool respect_inserted,

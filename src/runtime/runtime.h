@@ -30,8 +30,6 @@ struct RuntimeOptions {
   /// Kept only because the perfbench load generator, which is versioned
   /// with the benchmark, still sets and reports it.
   size_t eval_threads = 0;
-  /// Collect per-edge statistics (cheap counters).
-  bool collect_stats = true;
   /// Accept limit for the session layer: debugger clients (native or DAP)
   /// beyond this count are rejected with a typed `too-many-sessions`
   /// error. 0 = unlimited.

@@ -227,10 +227,7 @@ void DapServer::accept_loop() {
     // must already find the async path.
     {
       rpc::EventWriter::Target target;
-      // accept_stream always hands back a socket, so the fd path carries
-      // the bytes; there is no Target::send fallback here on purpose — a
-      // ByteStream::send_bytes under the writer mutex would block, which
-      // that callback's contract (and hgdb-analyze) forbids.
+      // accept_stream always hands back a socket.
       target.fd = connection->stream->native_handle();
       Connection* raw = connection.get();
       // Minimal and service-free: closing the stream wakes the blocked
@@ -246,27 +243,30 @@ void DapServer::accept_loop() {
       // Session limit: answer the first request with a failure, then drop.
       connection->rejected = true;
     }
-    common::LockGuard lock(connections_mutex_);
-    if (shutting_down_.load()) {
-      if (!connection->rejected) {
-        service_->unregister_client(connection->client);
+    {
+      common::LockGuard lock(connections_mutex_);
+      if (!shutting_down_.load()) {
+        // Reap connections whose thread has fully finished.
+        for (auto it = connections_.begin(); it != connections_.end();) {
+          if ((*it)->reapable.load()) {
+            if ((*it)->thread.joinable()) (*it)->thread.join();
+            it = connections_.erase(it);
+          } else {
+            ++it;
+          }
+        }
+        connections_.push_back(std::move(connection));
+        Connection* raw = connections_.back().get();
+        raw->thread = std::thread([this, raw] { connection_loop(raw); });
+        continue;
       }
-      writer_->remove_target(connection->writer_target);
-      connection->stream->close();
-      break;
     }
-    // Reap connections whose thread has fully finished.
-    for (auto it = connections_.begin(); it != connections_.end();) {
-      if ((*it)->reapable.load()) {
-        if ((*it)->thread.joinable()) (*it)->thread.join();
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    connections_.push_back(std::move(connection));
-    Connection* raw = connections_.back().get();
-    raw->thread = std::thread([this, raw] { connection_loop(raw); });
+    // Shutdown began while this connection registered: undo it off-lock
+    // (remove_target waits for in-flight on_dead callbacks).
+    if (!connection->rejected) service_->unregister_client(connection->client);
+    writer_->remove_target(connection->writer_target);
+    connection->stream->close();
+    break;
   }
 }
 

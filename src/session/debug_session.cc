@@ -9,45 +9,26 @@ namespace hgdb::session {
 
 using common::Json;
 
-DebugSession::DebugSession(ClientId id, std::unique_ptr<rpc::Channel> channel)
-    : id_(id), channel_(std::move(channel)) {}
-
-bool DebugSession::send_on_channel(const std::string& text) {
-  if (!alive()) return false;
-  try {
-    channel_->send(text);
-    if (bytes_sent_ != nullptr) bytes_sent_->add(text.size());
-    return true;
-  } catch (const std::exception&) {
-    mark_dead();
-    return false;
-  }
-}
+DebugSession::DebugSession(ClientId id, std::unique_ptr<rpc::Channel> channel,
+                           rpc::EventWriter& writer, uint64_t writer_target)
+    : id_(id),
+      channel_(std::move(channel)),
+      writer_(writer),
+      writer_target_(writer_target) {}
 
 bool DebugSession::send(const std::string& text) {
-  if (has_writer()) {
-    // force: responses are request-paced, they bypass the event-queue
-    // bound rather than vanish mid-handshake.
-    return enqueue(rpc::make_text_frame(text), /*force=*/true);
-  }
-  return send_on_channel(text);
+  // force: responses are request-paced, they bypass the event-queue
+  // bound rather than vanish mid-handshake.
+  return enqueue(rpc::make_text_frame(text), /*force=*/true);
 }
 
 bool DebugSession::send_event(const std::string& text) {
-  if (has_writer()) {
-    return enqueue(rpc::make_text_frame(text), /*force=*/false);
-  }
-  // No writer target means no bounded queue to absorb back-pressure, and a
-  // synchronous channel send here would stall the fan-out loop (sinks run
-  // under the service's delivery lock). Shed the event instead — the
-  // SessionManager attaches the writer before the sink is registered, so
-  // this branch is unreachable in production wiring.
-  return false;
+  return enqueue(rpc::make_text_frame(text), /*force=*/false);
 }
 
 bool DebugSession::enqueue(rpc::OutboundFrame frame, bool force) {
   if (!alive()) return false;
-  switch (writer_->enqueue(writer_target(), std::move(frame), force)) {
+  switch (writer_.enqueue(writer_target_, std::move(frame), force)) {
     case rpc::EventWriter::Enqueue::Queued:
       return true;
     case rpc::EventWriter::Enqueue::Dropped:

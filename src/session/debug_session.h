@@ -7,7 +7,6 @@
 #include <optional>
 #include <string>
 
-#include "obs/metrics.h"
 #include "rpc/channel.h"
 #include "rpc/event_writer.h"
 #include "session/debug_service.h"
@@ -17,7 +16,9 @@ namespace hgdb::session {
 /// One attached native-protocol client: its transport endpoint and event
 /// encoding. Created and driven by SessionManager, which runs one reader
 /// thread per session; send() is safe from any thread (responses from the
-/// session thread, pushed events from the simulation thread).
+/// session thread, pushed events from the simulation thread). All
+/// outbound traffic goes through the EventWriter target the manager
+/// registered for the channel's socket.
 ///
 /// All debugging state — breakpoint/watch ownership, engagement,
 /// subscriptions — lives in the DebugService client registry; the session
@@ -26,7 +27,10 @@ namespace hgdb::session {
 /// enqueuing binary frames once the client opted in).
 class DebugSession final : public EventSink {
  public:
-  DebugSession(ClientId id, std::unique_ptr<rpc::Channel> channel);
+  /// `writer_target` is `writer`'s target for `channel`'s socket; the
+  /// caller removes it before the session is destroyed.
+  DebugSession(ClientId id, std::unique_ptr<rpc::Channel> channel,
+               rpc::EventWriter& writer, uint64_t writer_target);
 
   DebugSession(const DebugSession&) = delete;
   DebugSession& operator=(const DebugSession&) = delete;
@@ -40,10 +44,10 @@ class DebugSession final : public EventSink {
 
   // -- transport ---------------------------------------------------------------
   /// Thread-safe send for responses; returns false (and marks the session
-  /// dead) once the peer is gone. With a writer attached this enqueues
-  /// with force=true (responses are request-paced, they must not vanish
-  /// mid-handshake) — a second direct writer on the same fd would
-  /// interleave with event frames and corrupt the framing.
+  /// dead) once the peer is gone. Enqueues with force=true (responses are
+  /// request-paced, they must not vanish mid-handshake) — a second direct
+  /// writer on the same fd would interleave with event frames and corrupt
+  /// the framing.
   bool send(const std::string& text);
   /// Thread-safe send for pushed events: same routing as send() but
   /// subject to the bounded-queue slow-client policy (force=false), so a
@@ -70,19 +74,7 @@ class DebugSession final : public EventSink {
     return reapable_.load(std::memory_order_acquire);
   }
 
-  // -- async writer / binary events --------------------------------------------
-  /// Routes all outbound traffic through `writer` target `target`: events
-  /// enqueue under the bounded slow-client policy, responses with force.
-  /// Called once per session by the manager, before the reader thread
-  /// starts and before the service sink is attached, so every send and
-  /// every delivered event observes it.
-  void attach_writer(rpc::EventWriter* writer, uint64_t target) {
-    writer_ = writer;
-    writer_target_.store(target, std::memory_order_release);
-  }
-  [[nodiscard]] bool has_writer() const {
-    return writer_target_.load(std::memory_order_acquire) != 0;
-  }
+  // -- binary events -----------------------------------------------------------
   /// Switches pushed events to the compact binary frame encoding (the
   /// `connect {"binary_events": true}` capability opt-in). Transport
   /// routing is unchanged — the writer carries JSON sessions too.
@@ -92,19 +84,7 @@ class DebugSession final : public EventSink {
   [[nodiscard]] bool binary_events() const {
     return binary_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] uint64_t writer_target() const {
-    return writer_target_.load(std::memory_order_acquire);
-  }
-  /// The channel's socket descriptor (-1 for in-process channels).
-  [[nodiscard]] int native_handle() const { return channel_->native_handle(); }
-  /// Direct channel send, bypassing the writer: the EventWriter's
-  /// fallback flush path for in-process channels, and the send() body for
-  /// sessions with no writer attached (direct-construction tests).
-  /// Returns false once the peer is gone.
-  bool send_on_channel(const std::string& text);
-  /// Counter for bytes written on the channel path (socket-path bytes are
-  /// accounted by the writer's Target). Optional.
-  void set_bytes_counter(obs::Counter* counter) { bytes_sent_ = counter; }
+  [[nodiscard]] uint64_t writer_target() const { return writer_target_; }
 
   // -- EventSink ---------------------------------------------------------------
   /// Renders a pushed service event in this session's event encoding and
@@ -124,12 +104,8 @@ class DebugSession final : public EventSink {
   std::atomic<bool> reapable_{false};
   std::atomic<bool> binary_{false};
   bool rejected_ = false;
-  /// Binary-events plumbing: writer_ is written before the release-store
-  /// of writer_target_, and only ever read after an acquire-load sees the
-  /// target — the usual publish pattern, no lock needed.
-  rpc::EventWriter* writer_ = nullptr;
-  std::atomic<uint64_t> writer_target_{0};
-  obs::Counter* bytes_sent_ = nullptr;
+  rpc::EventWriter& writer_;
+  const uint64_t writer_target_;
 };
 
 }  // namespace hgdb::session

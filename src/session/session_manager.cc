@@ -107,7 +107,18 @@ uint64_t SessionManager::add_client(std::unique_ptr<rpc::Channel> channel) {
     channel->close();
     return 0;
   }
-  // Register with the typed core first: the session limit is enforced
+  // Every outbound byte goes through the writer, so register the socket
+  // before the service can count or deliver to the client; add_target
+  // throws std::invalid_argument for a channel without one. on_dead stays
+  // service-free: closing the channel wakes the blocked reader thread,
+  // which runs cleanup_session on its own stack.
+  rpc::EventWriter::Target target;
+  target.fd = channel->native_handle();
+  rpc::Channel* raw = channel.get();
+  target.on_dead = [raw] { raw->close(); };
+  target.bytes_sent = native_bytes_sent_;
+  const uint64_t writer_target = event_writer_->add_target(std::move(target));
+  // Register with the typed core next: the session limit is enforced
   // there, across native and DAP clients alike. A rejected client still
   // gets a session whose first request is answered with the typed
   // too-many-sessions error before the transport closes.
@@ -129,14 +140,11 @@ uint64_t SessionManager::add_client(std::unique_ptr<rpc::Channel> channel) {
       ++it;
     }
   }
-  entries_.push_back(
-      Entry{std::make_unique<DebugSession>(id, std::move(channel)),
-            std::thread{}});
+  entries_.push_back(Entry{std::make_unique<DebugSession>(
+                               id, std::move(channel), *event_writer_,
+                               writer_target),
+                           std::thread{}});
   DebugSession* session = entries_.back().session.get();
-  session->set_bytes_counter(native_bytes_sent_);
-  // Writer before sink: the first delivered event must already see the
-  // async path, or it would fall back to a blocking channel send.
-  attach_writer(*session);
   if (rejected) {
     session->mark_rejected();
   } else {
@@ -245,44 +253,15 @@ void SessionManager::cleanup_session(DebugSession& session) {
   // The session's final response (disconnect ack, limit rejection) may
   // still sit in the writer queue; give it a bounded chance to flush
   // before the close tears the transport down.
-  if (session.has_writer()) {
-    event_writer_->drain(session.writer_target(),
-                         std::chrono::milliseconds(1000));
-  }
+  event_writer_->drain(session.writer_target(),
+                       std::chrono::milliseconds(1000));
   session.mark_dead();
   session.close();
   // Unhook the writer target before the service forgets the client: once
   // remove_target returns, the writer holds no reference to this session's
   // fd or callbacks, so the Entry can be reaped safely.
-  if (session.has_writer()) {
-    event_writer_->remove_target(session.writer_target());
-  }
+  event_writer_->remove_target(session.writer_target());
   if (!session.rejected()) service_->unregister_client(session.id());
-}
-
-void SessionManager::attach_writer(DebugSession& session) {
-  rpc::EventWriter::Target target;
-  target.fd = session.native_handle();
-  DebugSession* raw = &session;
-  if (target.fd < 0) {
-    // In-process channel: no socket to scatter-write, flush through the
-    // channel's (fast, non-blocking) queue push instead.
-    target.send = [raw](std::string_view message) {
-      return raw->send_on_channel(std::string(message));
-    };
-  }
-  // Keep this minimal and service-free: mark the session dead and close
-  // its channel — the shutdown() wakes the blocked reader thread, which
-  // runs cleanup_session (unregistering the client) on its own stack.
-  target.on_dead = [raw] {
-    raw->mark_dead();
-    raw->close();
-  };
-  // fd targets account bytes in the writer; channel targets already count
-  // inside send_on_channel — setting both would double-count.
-  if (target.fd >= 0) target.bytes_sent = native_bytes_sent_;
-  const uint64_t writer_id = event_writer_->add_target(std::move(target));
-  session.attach_writer(event_writer_.get(), writer_id);
 }
 
 void SessionManager::enable_binary_events(DebugSession& session) {

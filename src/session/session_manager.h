@@ -72,7 +72,10 @@ class SessionManager {
   /// Attaches a native-protocol client and starts its reader thread;
   /// returns the session id (0 when the client was rejected by the
   /// session limit — it still receives a typed `too-many-sessions` answer
-  /// to its first request before the session closes).
+  /// to its first request before the session closes). Every session,
+  /// JSON and binary alike, sends through the async EventWriter, so
+  /// pushed events always ride the bounded-queue slow-client policy.
+  /// Throws std::invalid_argument when the channel has no socket.
   uint64_t add_client(std::unique_ptr<rpc::Channel> channel);
   /// Binds loopback TCP (0 = ephemeral) and accepts native clients until
   /// shutdown; returns the bound port.
@@ -128,24 +131,18 @@ class SessionManager {
   void cleanup_session(DebugSession& session);
   void handle_execution(DebugSession& session, const rpc::RequestV2& request,
                         rpc::ResponseV2& response, Command command);
-  /// Registers the session's transport as an EventWriter target: every
-  /// session — JSON and binary alike — sends through the async writer, so
-  /// pushed events always ride the bounded-queue slow-client policy and
-  /// no per-client blocking send remains on the event path. Called from
-  /// add_client before the reader thread starts.
-  void attach_writer(DebugSession& session);
   /// Flips the session + service to binary event frames (the `connect`
   /// capability opt-in). Runs on the session's own reader thread.
   void enable_binary_events(DebugSession& session);
 
   runtime::Runtime* runtime_;
   std::unique_ptr<DebugService> service_;
-  /// Async event writer shared by every binary-events session. Declared
-  /// before entries_ so it outlives the sessions during destruction
-  /// (targets are removed in cleanup_session before a session dies).
+  /// Async event writer shared by every session. Declared before
+  /// entries_ so it outlives the sessions during destruction (targets are
+  /// removed in cleanup_session before a session dies).
   std::unique_ptr<rpc::EventWriter> event_writer_;
-  /// `session.native.bytes_sent`: bytes written by the native front end
-  /// (channel path and writer path both account here).
+  /// `session.native.bytes_sent`: bytes the writer flushed to native
+  /// clients.
   obs::Counter* native_bytes_sent_ = nullptr;
 
   mutable common::SessionsMutex sessions_mutex_{"session::sessions"};

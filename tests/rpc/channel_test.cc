@@ -1,7 +1,10 @@
 #include "rpc/channel.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "rpc/tcp.h"
@@ -58,6 +61,43 @@ TEST(ChannelPair, CrossThreadStress) {
     EXPECT_EQ(*message, std::to_string(i));
   }
   producer.join();
+}
+
+TEST(ChannelPair, PeerCloseEndsReceive) {
+  auto [a, b] = make_channel_pair();
+  a->send("last words");
+  a.reset();  // destroying an endpoint closes its socket
+  EXPECT_EQ(b->receive(std::chrono::milliseconds(1000)), "last words");
+  EXPECT_EQ(b->receive(std::chrono::milliseconds(1000)), std::nullopt);
+}
+
+TEST(ChannelPair, EndpointsAreSockets) {
+  auto [a, b] = make_channel_pair();
+  EXPECT_GE(a->native_handle(), 0);
+  EXPECT_GE(b->native_handle(), 0);
+  EXPECT_NE(a->native_handle(), b->native_handle());
+}
+
+TEST(ChannelPair, MessageLargerThanTheSocketBufferCrosses) {
+  auto [a, b] = make_channel_pair();
+  int buffer = 0;
+  socklen_t length = sizeof(buffer);
+  ASSERT_EQ(::getsockopt(a->native_handle(), SOL_SOCKET, SO_SNDBUF, &buffer,
+                         &length),
+            0);
+  // The send blocks until the reader drains the socket, so it must run on
+  // another thread than the receive.
+  std::string large(4 * static_cast<size_t>(buffer) + 17, 'y');
+  large += "END";
+  std::optional<std::string> received;
+  std::thread reader([&b = b, &received] {
+    received = b->receive(std::chrono::milliseconds(5000));
+  });
+  a->send(large);
+  reader.join();
+  ASSERT_TRUE(received.has_value());
+  EXPECT_EQ(received->size(), large.size());
+  EXPECT_EQ(*received, large);
 }
 
 TEST(Tcp, RoundTripOverLoopback) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "debugger/client.h"
@@ -472,6 +476,45 @@ TEST(SessionGating, SetValueWorksWhenSupported) {
   EXPECT_FALSE(client.set_value("Demo.no_such_signal", "1"));
   EXPECT_EQ(client.last_error_code(), ErrorCode::NoSuchEntity);
 
+  runtime.stop_service();
+}
+
+/// A Channel with no socket behind it: the session layer must refuse it,
+/// since every outbound byte flushes through the writer's sendmsg path.
+class SocketlessChannel final : public rpc::Channel {
+ public:
+  void send(std::string) override {}
+  std::optional<std::string> receive(
+      std::optional<std::chrono::milliseconds>) override {
+    return std::nullopt;
+  }
+  void close() override {}
+  bool closed() const override { return false; }
+  int native_handle() const override { return -1; }
+};
+
+TEST(SessionTransport, ChannelWithoutSocketIsRefusedBeforeRegistration) {
+  frontend::CompileOptions options;
+  options.debug_mode = true;
+  auto compiled = frontend::compile(ir::parse_circuit(kDesign), options);
+  symbols::MemorySymbolTable table(compiled.symbols);
+  sim::Simulator simulator(compiled.netlist);
+  vpi::NativeBackend backend(simulator);
+  runtime::Runtime runtime(backend, table);
+  runtime.attach();
+
+  EXPECT_THROW(runtime.serve(std::make_unique<SocketlessChannel>()),
+               std::invalid_argument);
+  ASSERT_NE(runtime.session_manager(), nullptr);
+  EXPECT_EQ(runtime.session_manager()->service().client_count(), 0u);
+  EXPECT_EQ(runtime.session_manager()->session_count(), 0u);
+
+  // A socketpair client attaches normally afterwards.
+  auto [client_side, server_side] = rpc::make_channel_pair();
+  runtime.serve(std::move(server_side));
+  DebugClient client(std::move(client_side));
+  ASSERT_TRUE(client.connect());
+  EXPECT_EQ(runtime.session_manager()->service().client_count(), 1u);
   runtime.stop_service();
 }
 
