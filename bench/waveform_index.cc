@@ -20,8 +20,10 @@
 // absolute gate, so the bench doubles as a stress check.
 //
 // "open_ms" is the median of kOpenReps individually timed header+footer
-// opens of the v4 file: one open is tens of microseconds, so a mean over
-// a few opens moves with host jitter.
+// opens of the v4 file, "parse_ms" the median of kParseReps full parses
+// of the VCD, the two taken interleaved: one open is tens of
+// microseconds, so a mean over a few opens (or one parse against them)
+// moves with host jitter.
 //
 // "block_load" reports the cold block-load cost per codec, split into the
 // stages of the reader's cache-miss path: pread, CRC-32 and decode (us
@@ -70,6 +72,13 @@ uint64_t env_or(const char* name, uint64_t fallback) {
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+}
+
+/// Median of `samples` (reorders them).
+double median(std::vector<double>& samples) {
+  const size_t mid = samples.size() / 2;
+  std::nth_element(samples.begin(), samples.begin() + mid, samples.end());
+  return samples[mid];
 }
 
 uint64_t file_bytes(const std::string& path) {
@@ -284,17 +293,11 @@ int main() {
   const uint64_t changes =
       write_synthetic_vcd(vcd_path, signals, aliases, cycles, scopes);
 
-  // -- in-memory backend: full-text parse ----------------------------------------
-  auto t0 = Clock::now();
-  auto trace = trace::parse_vcd_file(vcd_path);
-  const double parse_ms = ms_since(t0);
-  const size_t trace_resident = trace.resident_bytes();
-
   // -- indexed backends: one-time convert ----------------------------------------
   // v4: per-signal codec selection (the clock's toggle stream goes RLE).
   waveform::IndexWriterOptions v4_options;
   v4_options.block_capacity = block_cap;
-  t0 = Clock::now();
+  auto t0 = Clock::now();
   waveform::convert_vcd_to_index(vcd_path, v4_path, v4_options);
   const double convert_v4_ms = ms_since(t0);
 
@@ -313,21 +316,34 @@ int main() {
   // The clock contributes 2 changes per cycle on top of the data changes.
   const uint64_t total_changes = changes + 2 * cycles;
 
-  // -- header+footer-only opens --------------------------------------------------
-  // Each open timed on its own (construction only), reported as the
-  // median: robust to the one-shot syscall/page-cache jitter that would
-  // make the CI-gated open-vs-parse ratio flaky on shared runners.
-  constexpr int kOpenReps = 65;
+  // -- full-text parse vs. header+footer-only opens ------------------------------
+  // Both sides of the CI-gated open-vs-parse ratio are medians of
+  // individually timed runs (construction only), taken interleaved: each
+  // parse is followed by a run of opens, so host jitter during the bench
+  // lands on both and a one-shot syscall or page-cache stall moves
+  // neither median.
+  constexpr int kParseReps = 5;
+  constexpr int kOpensPerParse = 13;
+  constexpr int kOpenReps = kParseReps * kOpensPerParse;
+  std::vector<double> parse_samples;
   std::vector<double> open_samples;
+  parse_samples.reserve(kParseReps);
   open_samples.reserve(kOpenReps);
-  for (int i = 0; i < kOpenReps; ++i) {
+  trace::VcdTrace trace;
+  for (int p = 0; p < kParseReps; ++p) {
+    trace = trace::VcdTrace{};  // the previous parse is freed untimed
     t0 = Clock::now();
-    const waveform::IndexedWaveform reopen(v4_path, cache_blocks);
-    open_samples.push_back(ms_since(t0));
+    trace = trace::parse_vcd_file(vcd_path);
+    parse_samples.push_back(ms_since(t0));
+    for (int i = 0; i < kOpensPerParse; ++i) {
+      t0 = Clock::now();
+      const waveform::IndexedWaveform reopen(v4_path, cache_blocks);
+      open_samples.push_back(ms_since(t0));
+    }
   }
-  std::nth_element(open_samples.begin(),
-                   open_samples.begin() + kOpenReps / 2, open_samples.end());
-  const double open_ms = open_samples[kOpenReps / 2];
+  const double parse_ms = median(parse_samples);
+  const double open_ms = median(open_samples);
+  const size_t trace_resident = trace.resident_bytes();
   waveform::IndexedWaveform v4_indexed(v4_path, cache_blocks);
   // The manifest; one shared cache budget across every shard.
   waveform::IndexedWaveform sharded(sharded_path, cache_blocks);

@@ -50,6 +50,7 @@ enum class LockRank : int {
   kRuntimeService = 65,     ///< Runtime session-layer slot (held across construction)
   kRuntimeListener = 60,    ///< Runtime callback slots (change listener / stop handler)
   kRuntimeState = 50,       ///< Runtime scheduler state
+  kReplayCursors = 40,      ///< Replay backend per-handle read cursors
   kSessionTransport = 35,   ///< Per-connection protocol state + socket writes
   kWaveform = 30,           ///< Waveform reader cache / writer backend
   kObs = 20,                ///< MetricsRegistry map, trace string interning
@@ -69,6 +70,7 @@ enum class LockRank : int {
     case LockRank::kRuntimeService: return "runtime::service";
     case LockRank::kRuntimeListener: return "runtime::listener";
     case LockRank::kRuntimeState: return "runtime::state";
+    case LockRank::kReplayCursors: return "replay::cursors";
     case LockRank::kSessionTransport: return "session::transport";
     case LockRank::kWaveform: return "waveform";
     case LockRank::kObs: return "obs";
@@ -83,7 +85,7 @@ enum class LockRank : int {
 namespace detail {
 
 /// Per-thread record of held CheckedMutexes, innermost last. Fixed-size:
-/// the hierarchy is 14 ranks deep and equal ranks never nest, so a depth
+/// the hierarchy is 15 ranks deep and equal ranks never nest, so a depth
 /// past 16 is itself a discipline bug worth aborting on.
 struct HeldLocks {
   static constexpr int kMaxDepth = 16;
@@ -267,6 +269,7 @@ using ClientsMutex = CheckedMutex<LockRank::kSessionClients>;
 using ServiceMutex = CheckedMutex<LockRank::kRuntimeService>;
 using ListenerMutex = CheckedMutex<LockRank::kRuntimeListener>;
 using StateMutex = CheckedMutex<LockRank::kRuntimeState>;
+using CursorMutex = CheckedMutex<LockRank::kReplayCursors>;
 using TransportMutex = CheckedMutex<LockRank::kSessionTransport>;
 using WaveformMutex = CheckedMutex<LockRank::kWaveform>;
 using ObsMutex = CheckedMutex<LockRank::kObs>;

@@ -22,7 +22,6 @@ uint32_t thread_ordinal() {
 TraceRecorder::TraceRecorder(size_t capacity)
     : capacity_(std::bit_ceil(std::max<size_t>(capacity, 2))),
       mask_(capacity_ - 1),
-      slots_(new Slot[capacity_]),
       origin_(std::chrono::steady_clock::now()) {}
 
 TraceRecorder& TraceRecorder::global() {
@@ -51,11 +50,23 @@ uint64_t TraceRecorder::dropped() const {
   return live > capacity_ ? live - capacity_ : 0;
 }
 
+TraceRecorder::Slot* TraceRecorder::ring() {
+  Slot* ring = ring_.load(std::memory_order_acquire);
+  if (ring != nullptr) return ring;
+  common::LockGuard guard(ring_mutex_);
+  if (!slots_) {
+    slots_ = std::make_unique<Slot[]>(capacity_);
+    ring_.store(slots_.get(), std::memory_order_release);
+  }
+  return slots_.get();
+}
+
 void TraceRecorder::write(char phase, const char* category, const char* name,
                           uint64_t ts_ns, uint64_t dur_ns, bool has_arg,
                           uint64_t arg) {
+  Slot* ring = this->ring();
   const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket & mask_];
+  Slot& slot = ring[ticket & mask_];
   // Invalidate first so a concurrent reader never stitches the old seq to
   // the new payload; publish with a release store of the new seq.
   slot.seq.store(0, std::memory_order_release);
@@ -94,11 +105,13 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
   const uint64_t base = base_.load(std::memory_order_acquire);
   const uint64_t live = head - base;
   const uint64_t first = live > capacity_ ? head - capacity_ : base;
+  const Slot* ring = ring_.load(std::memory_order_acquire);
+  if (ring == nullptr) return {};  // nothing was ever written
 
   std::vector<TraceEvent> out;
   out.reserve(static_cast<size_t>(head - first));
   for (uint64_t ticket = first; ticket < head; ++ticket) {
-    const Slot& slot = slots_[ticket & mask_];
+    const Slot& slot = ring[ticket & mask_];
     if (slot.seq.load(std::memory_order_acquire) != ticket + 1) {
       continue;  // in-flight or already overwritten by a newer writer
     }

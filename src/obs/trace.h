@@ -67,7 +67,10 @@ class TraceRecorder {
   static TraceRecorder& global();
 
   // -- control -----------------------------------------------------------------
-  void start() { enabled_.store(true, std::memory_order_relaxed); }
+  void start() {
+    ring();  // allocated before any span can see enabled()
+    enabled_.store(true, std::memory_order_relaxed);
+  }
   void stop() { enabled_.store(false, std::memory_order_relaxed); }
   [[nodiscard]] bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
@@ -123,10 +126,16 @@ class TraceRecorder {
 
   void write(char phase, const char* category, const char* name,
              uint64_t ts_ns, uint64_t dur_ns, bool has_arg, uint64_t arg);
+  /// The slot ring, allocated on first use: a recorder that never records
+  /// (tracing off, the common case) touches none of its capacity x 56
+  /// bytes (3.5 MiB at the default capacity).
+  Slot* ring();
 
   size_t capacity_;  ///< power of two
   size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
+  common::ObsMutex ring_mutex_{"obs::ring"};
+  std::unique_ptr<Slot[]> slots_ HGDB_GUARDED_BY(ring_mutex_);
+  std::atomic<Slot*> ring_{nullptr};  ///< slots_.get() once allocated
   std::atomic<uint64_t> head_{0};   ///< next ticket
   std::atomic<uint64_t> base_{0};   ///< first live ticket (bumped by clear())
   std::atomic<uint64_t> total_{0};  ///< lifetime events written

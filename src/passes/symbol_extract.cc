@@ -145,7 +145,7 @@ class Extractor {
   /// are instance-relative.
   int64_t variable_id(const std::string& module, const std::string& value,
                       bool is_rtl) {
-    const std::string key = module + "\x1f" + value + (is_rtl ? "\x1fr" : "\x1fc");
+    const std::string key = variable_row_key(module, value, is_rtl);
     auto it = variable_cache_.find(key);
     if (it != variable_cache_.end()) return it->second;
     const int64_t id = static_cast<int64_t>(data_.variables.size()) + 1;
@@ -190,6 +190,12 @@ class Extractor {
 };
 
 }  // namespace
+
+std::string variable_row_key(const std::string& module,
+                             const std::string& value, bool is_rtl) {
+  // Two literals: "\x1fc" would be one hex escape, the single byte 0xfc.
+  return module + "\x1f" + value + (is_rtl ? "\x1f" "r" : "\x1f" "c");
+}
 
 SymbolTableData extract_symbol_table(const Circuit& circuit) {
   if (circuit.form() != Form::Low) {

@@ -1,6 +1,8 @@
 #ifndef HGDB_PASSES_SYMBOL_EXTRACT_H
 #define HGDB_PASSES_SYMBOL_EXTRACT_H
 
+#include <string>
+
 #include "ir/circuit.h"
 #include "symbols/schema.h"
 
@@ -19,6 +21,13 @@ namespace hgdb::passes {
 /// the top module's name; variable rows hold instance-relative RTL paths
 /// and are shared between instances of the same module.
 symbols::SymbolTableData extract_symbol_table(const ir::Circuit& circuit);
+
+/// Deduplication key of a shared variable row: the module, the value and
+/// the kind, each after a 0x1f separator, so a constant and an RTL row of
+/// the same text never share a row.
+[[nodiscard]] std::string variable_row_key(const std::string& module,
+                                           const std::string& value,
+                                           bool is_rtl);
 
 }  // namespace hgdb::passes
 

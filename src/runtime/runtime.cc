@@ -123,6 +123,7 @@ void Runtime::attach() {
     // Arm time for every symbol-table enable condition: compile and
     // slot-resolve them once, so the per-edge path never sees a string.
     common::LockGuard lock(state_mutex_);
+    generator_frames_.clear();
     rebuild_plan_locked();
   }
 
@@ -664,6 +665,7 @@ Runtime::CompiledPredicate Runtime::bind_predicate(
 
 void Runtime::rebuild_plan_locked() {
   plan_ = EvalPlan{};
+  bool armed = !watchpoints_.empty() || !subscriptions_.empty();
   for (auto& bp : breakpoints_) {
     bp.compiled_enable.reset();
     bp.dep_slots.clear();
@@ -682,11 +684,15 @@ void Runtime::rebuild_plan_locked() {
                          bp.instance_name, &plan_, &bp.dep_slots, false);
     }
     if (bp.inserted) {
+      armed = true;
       for (auto& arm : bp.conditions) {
         arm.compiled =
             bind_predicate(*arm.expr, &bp, bp.row.instance_id,
                            bp.instance_name, &plan_, &bp.dep_slots, false);
       }
+      // Stop frames are precompiled at arm time, so a stop queries no
+      // symbol table and reads no signal by name.
+      resolve_frame_locked(bp);
     }
     std::sort(bp.dep_slots.begin(), bp.dep_slots.end());
     bp.dep_slots.erase(std::unique(bp.dep_slots.begin(), bp.dep_slots.end()),
@@ -728,11 +734,30 @@ void Runtime::rebuild_plan_locked() {
     it = it->second.use_count() == 1 ? program_cache_.erase(it)
                                      : std::next(it);
   }
+  // With nothing armed no edge fetches, so the read set is empty and a
+  // backend keeping per-handle state (replay cursors) releases all of it
+  // now. Otherwise the set is declared at the next fetch: arming N
+  // locations rebuilds N times but fetches once.
+  read_set_stale_ = armed;
+  if (!armed) interface_->retain_views(nullptr, 0);
   values_stale_ = true;
+}
+
+void Runtime::retain_read_set_locked() {
+  std::vector<uint64_t> read_set = plan_.handles;
+  for (const auto& bp : breakpoints_) {
+    if (bp.inserted) append_frame_handles(bp, read_set);
+  }
+  std::sort(read_set.begin(), read_set.end());
+  read_set.erase(std::unique(read_set.begin(), read_set.end()),
+                 read_set.end());
+  interface_->retain_views(read_set.data(), read_set.size());
+  read_set_stale_ = false;
 }
 
 void Runtime::ensure_edge_values_locked() {
   if (edge_values_fresh_ && !values_stale_) return;
+  if (read_set_stale_) retain_read_set_locked();
   const size_t count = plan_.handles.size();
   ++plan_.serial;  // even an empty fetch round advances the cache epoch
   if (count != 0) {
@@ -1111,7 +1136,7 @@ bool Runtime::evaluate_member_locked(Breakpoint& bp, bool respect_inserted,
     ++counts.skipped;
   }
   // Step-mode hits bypass conditions: never leave a stale matched set
-  // behind for make_frame to pick up.
+  // behind for make_frames_locked to pick up.
   if (!need_cond) bp.matched.clear();
   return hit;
 }
@@ -1124,56 +1149,126 @@ StopEvent Runtime::make_stop_event(uint64_t time,
                                    const std::vector<size_t>& hits) {
   StopEvent event;
   event.time = time;
-  event.frames.reserve(hits.size());
-  for (size_t member : hits) {
-    event.frames.push_back(make_frame(breakpoints_[member]));
+  {
+    common::LockGuard lock(state_mutex_);
+    event.frames = make_frames_locked(hits);
   }
   stats_.stops->add(1);
   return event;
 }
 
-Frame Runtime::make_frame(const Breakpoint& bp) {
-  Frame frame;
-  frame.breakpoint_id = bp.row.id;
-  frame.instance_id = bp.row.instance_id;
-  frame.instance_name = bp.instance_name;
-  frame.filename = bp.row.filename;
-  frame.line = bp.row.line_num;
-  frame.column = bp.row.column_num;
-  // Which user conditions fired at this hit (set by evaluate_batch just
-  // before the stop): the session layer routes the stop to the sessions
-  // holding these arms.
-  if (!bp.conditions.empty()) frame.matched_conditions = bp.matched;
+void Runtime::resolve_frame_locked(Breakpoint& bp) {
+  if (bp.locals_frame) return;
+  auto plan_of = [&](const std::vector<symbols::ResolvedVariable>& rows) {
+    auto plan = std::make_shared<FramePlan>();
+    plan->reserve(rows.size());
+    for (const auto& row : rows) {
+      FrameVariable variable;
+      variable.name = row.name;
+      variable.is_rtl = row.is_rtl;
+      if (row.is_rtl) {
+        variable.handle = interface_->lookup_signal(
+            to_design_name(bp.instance_name + "." + row.value));
+      } else {
+        variable.text = row.value;
+      }
+      plan->push_back(std::move(variable));
+    }
+    return plan;
+  };
+  // Locals: the scope variables recorded by SSA for this statement.
+  bp.locals_frame = plan_of(table_->scope_variables(bp.row.id));
+  // Generator variables of the owning instance (paper Fig. 4 A), resolved
+  // once per instance.
+  auto& generator = generator_frames_[bp.row.instance_id];
+  if (!generator) {
+    generator = plan_of(table_->generator_variables(bp.row.instance_id));
+  }
+  bp.generator_frame = generator;
+}
 
-  // Locals: the scope variables recorded by SSA for this statement,
-  // re-aggregated into nested objects on dotted names.
-  for (const auto& variable : table_->scope_variables(bp.row.id)) {
-    std::string text;
-    if (!variable.is_rtl) {
-      text = variable.value;
-    } else if (auto value = interface_->get_value(to_design_name(
-                   bp.instance_name + "." + variable.value))) {
-      text = render(*value);
-    } else {
-      text = "<unavailable>";
+void Runtime::append_frame_handles(const Breakpoint& bp,
+                                   std::vector<uint64_t>& handles) {
+  for (const FramePlan* frame :
+       {bp.locals_frame.get(), bp.generator_frame.get()}) {
+    for (const auto& variable : *frame) {
+      if (variable.handle) handles.push_back(*variable.handle);
     }
-    rpc::insert_nested(frame.locals, variable.name, common::Json(text));
   }
-  // Generator variables of the owning instance (paper Fig. 4 A).
-  for (const auto& variable :
-       table_->generator_variables(bp.row.instance_id)) {
-    std::string text;
-    if (!variable.is_rtl) {
-      text = variable.value;
-    } else if (auto value = interface_->get_value(to_design_name(
-                   bp.instance_name + "." + variable.value))) {
-      text = render(*value);
-    } else {
-      text = "<unavailable>";
+}
+
+std::vector<Frame> Runtime::make_frames_locked(
+    const std::vector<size_t>& members) {
+  // One batched read of every handle the frames name, deduplicated.
+  std::vector<uint64_t> handles;
+  for (const size_t member : members) {
+    resolve_frame_locked(breakpoints_[member]);
+    append_frame_handles(breakpoints_[member], handles);
+  }
+  std::sort(handles.begin(), handles.end());
+  handles.erase(std::unique(handles.begin(), handles.end()), handles.end());
+  std::vector<const BitVector*> values(handles.size(), nullptr);
+  std::vector<BitVector> copies;
+  if (!handles.empty() &&
+      !interface_->get_value_views(handles.data(), handles.size(),
+                                   values.data())) {
+    copies.resize(handles.size());
+    std::vector<uint8_t> present(handles.size(), 0);
+    interface_->get_values(handles.data(), handles.size(), copies.data(),
+                           present.data());
+    for (size_t i = 0; i < handles.size(); ++i) {
+      if (present[i] != 0) values[i] = &copies[i];
     }
-    rpc::insert_nested(frame.generator, variable.name, common::Json(text));
   }
-  return frame;
+
+  // Dotted names re-aggregate into nested objects (bundle reconstruction).
+  auto render_plan = [&](const FramePlan& frame) {
+    common::Json object = common::Json::object();
+    for (const auto& variable : frame) {
+      const BitVector* value = nullptr;
+      if (variable.handle) {
+        const auto it =
+            std::lower_bound(handles.begin(), handles.end(), *variable.handle);
+        value = values[static_cast<size_t>(it - handles.begin())];
+      }
+      std::string text = !variable.is_rtl ? variable.text
+                         : value != nullptr ? render(*value)
+                                            : "<unavailable>";
+      rpc::insert_nested(object, variable.name, common::Json(std::move(text)));
+    }
+    return object;
+  };
+
+  std::vector<Frame> frames;
+  frames.reserve(members.size());
+  // Each instance's generator object is rendered once per stop.
+  std::vector<std::pair<const FramePlan*, common::Json>> generators;
+  for (const size_t member : members) {
+    const Breakpoint& bp = breakpoints_[member];
+    Frame frame;
+    frame.breakpoint_id = bp.row.id;
+    frame.instance_id = bp.row.instance_id;
+    frame.instance_name = bp.instance_name;
+    frame.filename = bp.row.filename;
+    frame.line = bp.row.line_num;
+    frame.column = bp.row.column_num;
+    // Which user conditions fired at this hit (set by evaluate_batch just
+    // before the stop): the session layer routes the stop to the sessions
+    // holding these arms.
+    if (!bp.conditions.empty()) frame.matched_conditions = bp.matched;
+    frame.locals = render_plan(*bp.locals_frame);
+    const FramePlan* generator = bp.generator_frame.get();
+    auto it = std::find_if(
+        generators.begin(), generators.end(),
+        [generator](const auto& entry) { return entry.first == generator; });
+    if (it == generators.end()) {
+      generators.emplace_back(generator, render_plan(*generator));
+      it = std::prev(generators.end());
+    }
+    frame.generator = it->second;
+    frames.push_back(std::move(frame));
+  }
+  return frames;
 }
 
 Frame Runtime::build_frame(int64_t breakpoint_id) {
@@ -1182,7 +1277,8 @@ Frame Runtime::build_frame(int64_t breakpoint_id) {
     throw std::invalid_argument("unknown breakpoint id " +
                                 std::to_string(breakpoint_id));
   }
-  return make_frame(breakpoints_[it->second]);
+  common::LockGuard lock(state_mutex_);
+  return std::move(make_frames_locked({it->second}).front());
 }
 
 // ---------------------------------------------------------------------------

@@ -284,6 +284,19 @@ class Runtime {
     uint8_t cached = 0;  ///< kArmHasVerdict | kArmTrue
   };
 
+  /// One variable of a precompiled stop frame: a symbol-table constant
+  /// kept as text, or an RTL value read through a backend handle resolved
+  /// once (nullopt = the signal is unknown, rendered "<unavailable>").
+  struct FrameVariable {
+    std::string name;
+    std::string text;  ///< the constant's text (non-RTL only)
+    bool is_rtl = false;
+    std::optional<uint64_t> handle;
+  };
+  /// A stop frame's variables in symbol-table order (the order the frame
+  /// renders them in).
+  using FramePlan = std::vector<FrameVariable>;
+
   /// One schedulable breakpoint (a symbol-table row + parsed expressions).
   struct Breakpoint {
     symbols::BreakpointRow row;
@@ -301,8 +314,16 @@ class Runtime {
     uint64_t eval_serial = 0;  ///< 0 = no cached result
     uint8_t cached = 0;        ///< kCacheHasEnable | kCacheEnableTrue
     /// Condition texts that matched at the last hit (scratch; written by
-    /// evaluate_batch, read by make_frame).
+    /// evaluate_batch, read by make_frames_locked).
     std::vector<std::string> matched;
+
+    /// Stop-frame plans, resolved once: when the breakpoint is first
+    /// armed, or at its first stop if a step reaches it unarmed. Table
+    /// rows and handles never change after attach(), so the plans
+    /// survive plan rebuilds. `generator_frame` is shared by every
+    /// breakpoint of the instance.
+    std::shared_ptr<const FramePlan> locals_frame;
+    std::shared_ptr<const FramePlan> generator_frame;
   };
 
   static constexpr uint8_t kCacheHasEnable = 1;
@@ -348,8 +369,8 @@ class Runtime {
     std::optional<common::BitVector> last;
 
     // Compiled state (rebuilt by rebuild_plan_locked).
-    std::optional<CompiledPredicate> compiled;
-    std::vector<uint32_t> dep_slots;
+    std::optional<CompiledPredicate> compiled{};
+    std::vector<uint32_t> dep_slots{};
     uint64_t eval_serial = 0;
   };
 
@@ -404,7 +425,18 @@ class Runtime {
   /// Evaluates every armed watchpoint (batch path); appends change hits.
   void collect_watch_hits(std::vector<rpc::WatchHit>& hits);
   rpc::StopEvent make_stop_event(uint64_t time, const std::vector<size_t>& hits);
-  rpc::Frame make_frame(const Breakpoint& bp);
+  /// Resolves `bp`'s stop-frame plans unless already resolved: the only
+  /// symbol-table queries a stop can make.
+  void resolve_frame_locked(Breakpoint& bp) HGDB_REQUIRES(state_mutex_);
+  /// Appends the handles `bp`'s resolved stop frames read (duplicates
+  /// included).
+  static void append_frame_handles(const Breakpoint& bp,
+                                   std::vector<uint64_t>& handles);
+  /// Frames of `members` at the current backend time. Reads the union of
+  /// their plans' handles in one get_value_views() (or get_values())
+  /// call, and renders each instance's generator variables once.
+  std::vector<rpc::Frame> make_frames_locked(const std::vector<size_t>& members)
+      HGDB_REQUIRES(state_mutex_);
   /// Blocks until the debugger answers the stop event; returns the command.
   Command deliver_stop(rpc::StopEvent event);
   /// Requests one cycle of reverse time travel; true on success.
@@ -443,8 +475,12 @@ class Runtime {
                                    bool persist_program = true)
       HGDB_REQUIRES(state_mutex_);
   /// Rebuilds the whole plan (all enables + inserted conditions +
-  /// watchpoints) and resets the change-driven caches.
+  /// watchpoints), resolves the inserted breakpoints' stop frames, and
+  /// resets the change-driven caches.
   void rebuild_plan_locked() HGDB_REQUIRES(state_mutex_);
+  /// Declares the armed read set (the plan plus the inserted breakpoints'
+  /// frames) to the backend's retain_views().
+  void retain_read_set_locked() HGDB_REQUIRES(state_mutex_);
   /// Fetches the plan's signals for this edge if not already fresh,
   /// committing changed values and bumping their change serial.
   void ensure_edge_values_locked() HGDB_REQUIRES(state_mutex_);
@@ -511,6 +547,13 @@ class Runtime {
   /// rebuilds — programs depend only on the AST, never on bindings.
   std::map<std::string, std::shared_ptr<const CompiledExpression>>
       program_cache_ HGDB_GUARDED_BY(state_mutex_);
+  /// Generator-variable frame plans by instance id (see
+  /// Breakpoint::generator_frame).
+  std::map<int64_t, std::shared_ptr<const FramePlan>> generator_frames_
+      HGDB_GUARDED_BY(state_mutex_);
+  /// The plan changed while armed: the next fetch re-declares the read
+  /// set (retain_read_set_locked).
+  bool read_set_stale_ HGDB_GUARDED_BY(state_mutex_) = false;
   /// Values already fetched for the current edge; cleared at edge entry.
   bool edge_values_fresh_ HGDB_GUARDED_BY(state_mutex_) = false;
   /// A stop was delivered or a mutator ran since the last fetch: the next

@@ -4,6 +4,49 @@
 
 namespace hgdb::vpi {
 
+ReplayBackend::ReplayBackend(trace::ReplayEngine engine)
+    : engine_(std::move(engine)),
+      indexed_(dynamic_cast<const waveform::IndexedWaveform*>(
+          engine_.source_ptr().get())) {}
+
+bool ReplayBackend::get_value_views(const uint64_t* handles, size_t count,
+                                    const common::BitVector** out) {
+  if (indexed_ == nullptr) return false;
+  const uint64_t time = engine_.time();
+  common::LockGuard lock(cursors_mutex_);
+  for (size_t i = 0; i < count; ++i) {
+    const auto handle = static_cast<size_t>(handles[i]);
+    if (handle >= cursors_.size()) cursors_.resize(handle + 1);
+    auto& cursor = cursors_[handle];
+    if (!cursor) {
+      cursor = std::make_unique<waveform::SignalCursor>(*indexed_, handle);
+    }
+    out[i] = &cursor->seek(time);
+  }
+  return true;
+}
+
+void ReplayBackend::retain_views(const uint64_t* handles, size_t count) {
+  std::vector<uint8_t> keep;
+  for (size_t i = 0; i < count; ++i) {
+    const auto handle = static_cast<size_t>(handles[i]);
+    if (handle >= keep.size()) keep.resize(handle + 1, 0);
+    keep[handle] = 1;
+  }
+  common::LockGuard lock(cursors_mutex_);
+  for (size_t handle = 0; handle < cursors_.size(); ++handle) {
+    if (handle >= keep.size() || keep[handle] == 0) cursors_[handle].reset();
+  }
+  while (!cursors_.empty() && !cursors_.back()) cursors_.pop_back();
+}
+
+size_t ReplayBackend::pinned_blocks() const {
+  common::LockGuard lock(cursors_mutex_);
+  return static_cast<size_t>(std::count_if(
+      cursors_.begin(), cursors_.end(),
+      [](const auto& cursor) { return cursor && cursor->pinned(); }));
+}
+
 std::vector<std::string> ReplayBackend::signal_names() const {
   const auto& source = engine_.source();
   std::vector<std::string> out;

@@ -2,9 +2,12 @@
 #define HGDB_VPI_REPLAY_BACKEND_H
 
 #include <memory>
+#include <vector>
 
+#include "common/checked_mutex.h"
 #include "trace/replay.h"
 #include "vpi/sim_interface.h"
+#include "waveform/indexed_waveform.h"
 
 namespace hgdb::vpi {
 
@@ -21,8 +24,7 @@ namespace hgdb::vpi {
 /// change history); set_time is fully supported in both directions.
 class ReplayBackend final : public SimulatorInterface {
  public:
-  explicit ReplayBackend(trace::ReplayEngine engine)
-      : engine_(std::move(engine)) {}
+  explicit ReplayBackend(trace::ReplayEngine engine);
 
   [[nodiscard]] std::optional<common::BitVector> get_value(
       const std::string& hier_name) override {
@@ -40,8 +42,9 @@ class ReplayBackend final : public SimulatorInterface {
   [[nodiscard]] bool supports_set_value() const override { return false; }
 
   /// Batched reads resolve the waveform signal index once per armed name;
-  /// the per-edge fetch then seeks by index, skipping the name lookup the
-  /// scalar get_value() pays on every call.
+  /// the per-edge fetch then reads by index, skipping the name lookup the
+  /// scalar get_value() pays on every call. Handles are canonical signal
+  /// indexes, so aliases share one handle.
   [[nodiscard]] std::optional<uint64_t> lookup_signal(
       const std::string& hier_name) override {
     auto index = engine_.signal_index(hier_name);
@@ -55,6 +58,19 @@ class ReplayBackend final : public SimulatorInterface {
       present[i] = 1;
     }
   }
+  /// Over an IndexedWaveform, views read through one waveform::SignalCursor
+  /// per handle, which pins its decoded block: a read at a time inside the
+  /// cursor's interval is a compare, one inside its block skips the reader
+  /// lock and the block cache. The views point at the cursors' values.
+  /// Over an in-memory trace, views are declined (false). The copying
+  /// get_values() keeps the value_at() path and creates no cursor.
+  [[nodiscard]] bool get_value_views(const uint64_t* handles, size_t count,
+                                     const common::BitVector** out) override;
+  /// Drops the cursor (and its pinned block) of every handle not listed.
+  void retain_views(const uint64_t* handles, size_t count) override;
+  /// Decoded blocks held by cursors, on top of the block cache's
+  /// residency.
+  [[nodiscard]] size_t pinned_blocks() const;
 
   // -- replay driving -----------------------------------------------------------
   /// Advances one clock edge and fires callbacks; false at trace end.
@@ -70,6 +86,14 @@ class ReplayBackend final : public SimulatorInterface {
   void fire();
 
   trace::ReplayEngine engine_;
+  /// The indexed store behind engine_, or nullptr (views declined).
+  const waveform::IndexedWaveform* indexed_ = nullptr;
+  mutable common::CursorMutex cursors_mutex_{"replay::cursors"};
+  /// Indexed by handle; null where no view has been read or the cursor
+  /// was released. Cursors live on the heap, so a view stays valid while
+  /// the table grows.
+  std::vector<std::unique_ptr<waveform::SignalCursor>> cursors_
+      HGDB_GUARDED_BY(cursors_mutex_);
   std::vector<std::pair<uint64_t, ClockCallback>> callbacks_;
   uint64_t next_handle_ = 1;
 };

@@ -89,16 +89,23 @@ class SimulatorInterface {
   /// copy. Pointers stay valid — and their pointees stable — until the
   /// simulation next advances, which under the zero-delay callback
   /// contract means for the duration of the current clock-edge callback.
-  /// Returns false when the backend cannot expose stable storage (replay
-  /// recomputes values per seek; RPC backends marshal) — callers then fall
+  /// Returns false when the backend cannot expose stable storage (an
+  /// in-memory trace replay; RPC backends marshal) — callers then fall
   /// back to the copying get_values(). The native backend returns direct
   /// pointers into the simulator's value array, so a fetch round over N
-  /// unchanged signals copies nothing.
+  /// unchanged signals copies nothing; an indexed replay returns pointers
+  /// into per-handle read cursors.
   [[nodiscard]] virtual bool get_value_views(
       const uint64_t* /*handles*/, size_t /*count*/,
       const common::BitVector** /*out*/) {
     return false;
   }
+  /// Declares the handles the caller will keep reading through
+  /// get_value_views() (the debugger runtime's armed read set, re-declared
+  /// whenever it changes; empty = none). A backend that keeps per-handle
+  /// state for views may release the state of every other handle. The
+  /// default keeps no such state and does nothing.
+  virtual void retain_views(const uint64_t* /*handles*/, size_t /*count*/) {}
 
  private:
   /// Names registered by the default lookup_signal(), indexed by handle,

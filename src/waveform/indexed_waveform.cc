@@ -394,25 +394,68 @@ BlockCache::BlockPtr IndexedWaveform::load_block(size_t signal_index,
   return block;
 }
 
-BitVector IndexedWaveform::value_at(size_t index, uint64_t time) const {
+IndexedWaveform::BlockSpan IndexedWaveform::locate(size_t index,
+                                                   uint64_t time) const {
   common::LockGuard lock(mutex_);
-  const auto& signal = signals_[signals_[index].canonical];
-  const auto& directory = signal.blocks;
+  const size_t canonical = signals_[index].canonical;
+  const auto& directory = signals_[canonical].blocks;
   // Last block whose first entry is at or before `time`.
   auto it = std::upper_bound(
       directory.begin(), directory.end(), time,
       [](uint64_t t, const BlockInfo& block) { return t < block.start_time; });
-  if (it == directory.begin()) return BitVector(signal.info.width, 0);
+  BlockSpan span;
+  if (it != directory.end()) span.until = it->start_time;
+  if (it == directory.begin()) return span;
   const size_t block_index =
       static_cast<size_t>(std::distance(directory.begin(), it)) - 1;
-  auto block = load_block(signals_[index].canonical, block_index);
-  // Last entry with entry.time <= time. For a well-formed index the first
-  // entry equals start_time so one always exists; a corrupt directory whose
-  // start_time understates the payload must not walk before begin().
-  const auto& times = block->times;
-  const auto entry = std::upper_bound(times.begin(), times.end(), time);
-  if (entry == times.begin()) return BitVector(signal.info.width, 0);
-  return block->value(static_cast<size_t>(entry - times.begin()) - 1);
+  span.from = directory[block_index].start_time;
+  span.block = load_block(canonical, block_index);
+  return span;
+}
+
+namespace {
+
+/// Index one past the last entry of `block` at or before `time` (0 when
+/// every entry is later). For a well-formed index the first entry equals
+/// the directory's start_time, so a located block always has one; a
+/// corrupt directory whose start_time understates the payload must not
+/// walk before begin().
+size_t entry_end(const DecodedBlock& block, uint64_t time) {
+  const auto& times = block.times;
+  return static_cast<size_t>(
+      std::upper_bound(times.begin(), times.end(), time) - times.begin());
+}
+
+}  // namespace
+
+BitVector IndexedWaveform::value_at(size_t index, uint64_t time) const {
+  const BlockSpan span = locate(index, time);
+  const size_t end = span.block ? entry_end(*span.block, time) : 0;
+  if (end == 0) return BitVector(signals_[index].info.width, 0);
+  return span.block->value(end - 1);
+}
+
+const BitVector& SignalCursor::seek(uint64_t time) {
+  if (time >= from_ && time < until_) return value_;
+  if (!span_.block || time < span_.from || time >= span_.until) {
+    span_ = source_->locate(index_, time);
+  }
+  const size_t end = span_.block ? entry_end(*span_.block, time) : 0;
+  if (end == 0) {
+    value_.reset(source_->signal(index_).width, 0);
+    from_ = span_.from;
+    until_ = span_.block ? span_.block->times.front() : span_.until;
+    return value_;
+  }
+  const DecodedBlock& block = *span_.block;
+  if (block.narrow()) {
+    value_.reset(block.width, block.words[end - 1]);
+  } else {
+    value_ = block.wide[end - 1];
+  }
+  from_ = block.times[end - 1];
+  until_ = end < block.size() ? block.times[end] : span_.until;
+  return value_;
 }
 
 std::vector<uint64_t> IndexedWaveform::rising_edges(size_t index) const {

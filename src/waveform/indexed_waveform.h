@@ -64,6 +64,21 @@ class IndexedWaveform final : public WaveformSource {
                                            uint64_t time) const override;
   [[nodiscard]] std::vector<uint64_t> rising_edges(size_t index) const override;
 
+  /// The decoded block that answers value_at(index, t) for every t in
+  /// [from, until): the directory span of the last block starting at or
+  /// before `time`, up to the next block's start. `block` is nullptr when
+  /// `time` precedes the stream's first block; the value is then zero
+  /// across the span. A caller holding the pointer keeps the block
+  /// resident whatever the cache evicts (see SignalCursor).
+  struct BlockSpan {
+    BlockCache::BlockPtr block;
+    uint64_t from = 0;
+    uint64_t until = UINT64_MAX;
+  };
+  /// Loads through the cache like value_at(); throws the same WvxError
+  /// for a block that does not decode.
+  [[nodiscard]] BlockSpan locate(size_t index, uint64_t time) const;
+
   // -- introspection ------------------------------------------------------------
   [[nodiscard]] const std::string& path() const { return path_; }
   /// Directory of the signal's change stream (the canonical signal's, for
@@ -159,6 +174,33 @@ class IndexedWaveform final : public WaveformSource {
   /// overwriting one another (the destructor settles the balance).
   mutable int64_t resident_reported_ HGDB_GUARDED_BY(mutex_) = 0;
   std::unique_ptr<ObsMetrics> obs_;
+};
+
+/// Repeated reads of one signal that pin the block they read from. The
+/// cursor keeps the value at the last seek with the interval [from,
+/// until) in which it holds, plus the located BlockSpan. A seek inside
+/// the interval is a compare; one inside the pinned block is a binary
+/// search of its times, with no lock, no directory search and no cache
+/// lookup. Only a seek outside the block goes through locate(). Every
+/// seek answers what value_at(index, time) answers, or throws the same
+/// WvxError. Not thread-safe: the owner serializes seeks.
+class SignalCursor {
+ public:
+  SignalCursor(const IndexedWaveform& source, size_t index)
+      : source_(&source), index_(index) {}
+
+  /// Value of the signal at `time`, valid until the next seek.
+  const common::BitVector& seek(uint64_t time);
+  /// True while a decoded block is held.
+  [[nodiscard]] bool pinned() const { return span_.block != nullptr; }
+
+ private:
+  const IndexedWaveform* source_;
+  size_t index_;
+  common::BitVector value_;
+  uint64_t from_ = 1;  ///< empty interval: the first seek locates
+  uint64_t until_ = 0;
+  IndexedWaveform::BlockSpan span_;
 };
 
 }  // namespace hgdb::waveform

@@ -174,6 +174,7 @@ TEST(CheckedMutex, RankToStringCoversHierarchy) {
   EXPECT_STREQ(to_string(LockRank::kSessionCommand), "session::command");
   EXPECT_STREQ(to_string(LockRank::kSessionClients), "session::clients");
   EXPECT_STREQ(to_string(LockRank::kRuntimeState), "runtime::state");
+  EXPECT_STREQ(to_string(LockRank::kReplayCursors), "replay::cursors");
   EXPECT_STREQ(to_string(LockRank::kRpc), "rpc");
 }
 

@@ -10,9 +10,12 @@
 // opened with IndexedWaveform, which sniffs the magic, so an input may be
 // a single-file index (v1-v4) or a shard manifest (whose shard names then
 // resolve inside that directory). On success, every signal's block
-// directory must be in time order, and value_at() is read on every signal
-// at time 0, at max_time, and at the start of every block of its stream;
-// each answer must carry the signal's width.
+// directory must be in time order, and every signal is read at time 0,
+// at max_time and around the start and end of every block of its stream:
+// forward, backward, then in jumps. Each time is answered twice, by
+// value_at() and by a SignalCursor walking the same sequence, and the two
+// must agree: the same value (carrying the signal's width) or a WvxError
+// of the same fault.
 //
 // Built two ways:
 //   - libFuzzer (clang, -fsanitize=fuzzer,address, -DHGDB_FUZZ_LIBFUZZER):
@@ -22,11 +25,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "waveform/indexed_waveform.h"
 
@@ -50,11 +56,49 @@ const std::string& work_dir() {
   return *dir;
 }
 
-/// Every query answer must be a value of the signal's own width.
-void check_value(const hgdb::waveform::IndexedWaveform& index, size_t signal,
-                 uint64_t time) {
-  if (index.value_at(signal, time).width() != index.signal(signal).width) {
-    std::abort();
+/// One query's outcome: a value, or the fault of the WvxError it threw.
+struct Answer {
+  std::optional<hgdb::common::BitVector> value;
+  hgdb::waveform::WvxFault fault = hgdb::waveform::WvxFault::kIo;
+};
+
+template <typename Query>
+Answer ask(Query query) {
+  try {
+    return Answer{query(), {}};
+  } catch (const hgdb::waveform::WvxError& error) {
+    return Answer{std::nullopt, error.fault()};
+  }
+}
+
+/// Reads `signal` at every time value_at() can be asked about, through
+/// value_at() and through one cursor, and aborts on any disagreement.
+void check_signal(const hgdb::waveform::IndexedWaveform& index, size_t signal) {
+  std::vector<uint64_t> times = {0, index.max_time()};
+  for (const auto& block : index.blocks(signal)) {
+    for (const uint64_t t : {block.start_time, block.end_time}) {
+      if (t > 0) times.push_back(t - 1);
+      times.push_back(t);
+      if (t < UINT64_MAX) times.push_back(t + 1);
+    }
+  }
+  std::sort(times.begin(), times.end());
+  std::vector<uint64_t> order = times;
+  order.insert(order.end(), times.rbegin(), times.rend());
+  for (size_t i = 0; i < times.size(); ++i) {
+    order.push_back(times[(i * 7919) % times.size()]);
+  }
+  hgdb::waveform::SignalCursor cursor(index, signal);
+  for (const uint64_t t : order) {
+    const Answer want = ask([&] { return index.value_at(signal, t); });
+    const Answer got = ask([&] { return cursor.seek(t); });
+    if (want.value.has_value() != got.value.has_value()) std::abort();
+    if (want.value) {
+      if (*want.value != *got.value) std::abort();
+      if (want.value->width() != index.signal(signal).width) std::abort();
+    } else if (want.fault != got.fault) {
+      std::abort();
+    }
   }
 }
 
@@ -84,11 +128,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         }
         previous_end = block.end_time;
       }
-      check_value(index, s, 0);
-      check_value(index, s, index.max_time());
-      for (const auto& block : index.blocks(s)) {
-        check_value(index, s, block.start_time);
-      }
+      check_signal(index, s);
     }
   } catch (const WvxError&) {
     // malformed/truncated/corrupt input: the documented failure mode

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "frontend/compile.h"
 #include "ir/parser.h"
 #include "symbols/symbol_table.h"
@@ -191,6 +193,36 @@ TEST(SymbolExtract, FilesListsDistinctSources) {
   auto data = extract(kListing, /*debug_mode=*/true);
   symbols::MemorySymbolTable table(std::move(data));
   EXPECT_EQ(table.files(), (std::vector<std::string>{"listing.cc"}));
+}
+
+TEST(SymbolExtract, ConstantAndRtlRowKeysHaveOneShape) {
+  // Both kinds end in the 0x1f separator plus a one-letter tag, so the
+  // same text under the two kinds keys two different rows.
+  EXPECT_EQ(variable_row_key("M", "0", /*is_rtl=*/false),
+            std::string("M\x1f" "0\x1f" "c"));
+  EXPECT_EQ(variable_row_key("M", "0", /*is_rtl=*/true),
+            std::string("M\x1f" "0\x1f" "r"));
+  EXPECT_NE(variable_row_key("M", "0", false), variable_row_key("M", "0", true));
+  EXPECT_EQ(variable_row_key("M", "0", false), variable_row_key("M", "0", false));
+}
+
+TEST(SymbolExtract, EqualConstantsShareOneRow) {
+  // Lines 3 and 4 of each unrolled iteration both bind the constant i;
+  // every scope row naming a value reaches that value's single row.
+  auto data = extract(kListing, /*debug_mode=*/true);
+  std::map<std::pair<std::string, bool>, size_t> rows;
+  for (const auto& row : data.variables) ++rows[{row.value, row.is_rtl}];
+  for (const auto& [key, count] : rows) {
+    EXPECT_EQ(count, 1u) << key.first << (key.second ? " (rtl)" : " (constant)");
+  }
+  symbols::MemorySymbolTable table(std::move(data));
+  size_t constant_zero = 0;
+  for (const auto& bp : table.all_breakpoints()) {
+    for (const auto& variable : table.scope_variables(bp.id)) {
+      if (!variable.is_rtl && variable.value == "0") ++constant_zero;
+    }
+  }
+  EXPECT_GE(constant_zero, 2u);
 }
 
 }  // namespace
