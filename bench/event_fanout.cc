@@ -164,7 +164,7 @@ CellResult run_cell(session::DebugService& service,
   }
   // Defeat dead-code elimination of the renders across both cells.
   static volatile uint64_t checksum;
-  for (auto& sink : sinks) checksum += sink->bytes;
+  for (auto& sink : sinks) checksum = checksum + sink->bytes;
   return best;
 }
 

@@ -61,6 +61,9 @@ inline uint64_t step(uint64_t state) {
   return state;
 }
 
+/// Written after every timed region to defeat dead-code elimination.
+volatile uint64_t dce_sink;
+
 /// ns per iteration, best of `reps` runs of `iters` iterations.
 template <typename Body>
 double time_ns_per_op(uint64_t iters, uint64_t reps, Body&& body) {
@@ -73,9 +76,7 @@ double time_ns_per_op(uint64_t iters, uint64_t reps, Body&& body) {
         static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                 Clock::now() - start)
                                 .count());
-    // Defeat dead-code elimination across the timed region.
-    static volatile uint64_t sink;
-    sink = state;
+    dce_sink = state;
     best = std::min(best, ns / static_cast<double>(iters));
   }
   return best;

@@ -42,8 +42,7 @@ namespace hgdb::common {
 /// equal ranks may never nest (sequential acquire/release is fine).
 enum class LockRank : int {
   kSessionLifecycle = 100,  ///< SessionManager shutdown latch
-  kSessionSessions = 90,    ///< SessionManager session table
-  kSessionConnections = 85, ///< DapServer connection table
+  kSessionSessions = 90,    ///< SessionManager connection table (both front ends)
   kSessionCommand = 80,     ///< DebugService command hand-off
   kSessionDelivery = 75,    ///< DebugService sink delivery bracket
   kSessionClients = 70,     ///< DebugService client/subscription table
@@ -63,7 +62,6 @@ enum class LockRank : int {
   switch (rank) {
     case LockRank::kSessionLifecycle: return "session::lifecycle";
     case LockRank::kSessionSessions: return "session::sessions";
-    case LockRank::kSessionConnections: return "session::connections";
     case LockRank::kSessionCommand: return "session::command";
     case LockRank::kSessionDelivery: return "session::delivery";
     case LockRank::kSessionClients: return "session::clients";
@@ -85,7 +83,7 @@ enum class LockRank : int {
 namespace detail {
 
 /// Per-thread record of held CheckedMutexes, innermost last. Fixed-size:
-/// the hierarchy is 15 ranks deep and equal ranks never nest, so a depth
+/// the hierarchy is 14 ranks deep and equal ranks never nest, so a depth
 /// past 16 is itself a discipline bug worth aborting on.
 struct HeldLocks {
   static constexpr int kMaxDepth = 16;
@@ -262,7 +260,6 @@ class HGDB_SCOPED_CAPABILITY UniqueLock {
 // numeric ordering stays in LockRank.
 using LifecycleMutex = CheckedMutex<LockRank::kSessionLifecycle>;
 using SessionsMutex = CheckedMutex<LockRank::kSessionSessions>;
-using ConnectionsMutex = CheckedMutex<LockRank::kSessionConnections>;
 using CommandMutex = CheckedMutex<LockRank::kSessionCommand>;
 using DeliveryMutex = CheckedMutex<LockRank::kSessionDelivery>;
 using ClientsMutex = CheckedMutex<LockRank::kSessionClients>;

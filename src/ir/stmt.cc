@@ -1,5 +1,7 @@
 #include "ir/stmt.h"
 
+#include <utility>
+
 namespace hgdb::ir {
 
 namespace {
@@ -72,17 +74,17 @@ void visit_stmts(const Stmt& root, const std::function<void(const Stmt&)>& fn) {
   switch (root.kind()) {
     case StmtKind::Block:
       for (const auto& stmt : static_cast<const BlockStmt&>(root).stmts) {
-        visit_stmts(*stmt, fn);
+        visit_stmts(std::as_const(*stmt), fn);
       }
       break;
     case StmtKind::When: {
       const auto& when = static_cast<const WhenStmt&>(root);
-      visit_stmts(*when.then_body, fn);
-      if (when.else_body) visit_stmts(*when.else_body, fn);
+      visit_stmts(std::as_const(*when.then_body), fn);
+      if (when.else_body) visit_stmts(std::as_const(*when.else_body), fn);
       break;
     }
     case StmtKind::For:
-      visit_stmts(*static_cast<const ForStmt&>(root).body, fn);
+      visit_stmts(std::as_const(*static_cast<const ForStmt&>(root).body), fn);
       break;
     default:
       break;

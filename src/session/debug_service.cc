@@ -98,16 +98,8 @@ void DebugService::set_client_name(ClientId id, const std::string& name) {
   client_at(id).name = name;
 }
 
-void DebugService::set_client_sink(ClientId id, EventSink* sink) {
-  // Swapping the sink must also wait out an in-flight delivery to the old
-  // one (same lifetime contract as unregister_client).
-  common::LockGuard delivery(delivery_mutex_);
-  common::LockGuard lock(clients_mutex_);
-  client_at(id).sink = sink;
-}
-
 void DebugService::set_client_binary(ClientId id, bool binary) {
-  // delivery_mutex_ first, like set_client_sink: a fan-out snapshotting
+  // delivery_mutex_ first, like unregister_client: a fan-out snapshotting
   // binary flags must not race the switch mid-delivery.
   common::LockGuard delivery(delivery_mutex_);
   common::LockGuard lock(clients_mutex_);

@@ -195,9 +195,6 @@ class DebugService {
   /// Returns how many runtime breakpoints died. Safe to call twice.
   size_t unregister_client(ClientId id);
   void set_client_name(ClientId id, const std::string& name);
-  /// Attaches the sink after registration (front ends whose sink object
-  /// needs the client id first). Events fired in between are dropped.
-  void set_client_sink(ClientId id, EventSink* sink);
   /// Marks the client as a binary-events subscriber: fan-out serializes
   /// hot events once into ServiceEvent::binary_body for it (and every
   /// other binary client) instead of per-client JSON rendering.

@@ -9,37 +9,57 @@ namespace hgdb::session {
 
 using common::Json;
 
-DebugSession::DebugSession(ClientId id, std::unique_ptr<rpc::Channel> channel,
-                           rpc::EventWriter& writer, uint64_t writer_target)
-    : id_(id),
-      channel_(std::move(channel)),
-      writer_(writer),
-      writer_target_(writer_target) {}
-
-bool DebugSession::send(const std::string& text) {
-  // force: responses are request-paced, they bypass the event-queue
-  // bound rather than vanish mid-handshake.
-  return enqueue(rpc::make_text_frame(text), /*force=*/true);
-}
-
-bool DebugSession::send_event(const std::string& text) {
-  return enqueue(rpc::make_text_frame(text), /*force=*/false);
-}
-
-bool DebugSession::enqueue(rpc::OutboundFrame frame, bool force) {
+bool Connection::enqueue(rpc::OutboundFrame frame, bool force) {
   if (!alive()) return false;
   switch (writer_.enqueue(writer_target_, std::move(frame), force)) {
     case rpc::EventWriter::Enqueue::Queued:
-      return true;
     case rpc::EventWriter::Enqueue::Dropped:
-      // Slow-client policy fired: the event is gone (and counted in
-      // rpc.writer.events_dropped) but the client stays attached.
       return true;
     case rpc::EventWriter::Enqueue::Dead:
       mark_dead();
       return false;
   }
   return false;
+}
+
+Json value_change_payload(const ServiceEvent::ValueChange& change) {
+  Json payload = Json::object();
+  payload["subscription"] = Json(static_cast<int64_t>(change.subscription));
+  payload["time"] = Json(static_cast<int64_t>(change.time));
+  Json changes = Json::array();
+  for (const auto& entry : change.changes) {
+    Json item = Json::object();
+    item["signal"] = Json(entry.signal);
+    item["value"] = Json(entry.value);
+    item["width"] = Json(static_cast<int64_t>(entry.width));
+    changes.push_back(std::move(item));
+  }
+  payload["changes"] = std::move(changes);
+  return payload;
+}
+
+Json breakpoint_change_payload(const rpc::BreakpointChangeEvent& change) {
+  Json payload = Json::object();
+  payload["action"] = Json(change.action);
+  payload["filename"] = Json(change.filename);
+  payload["line"] = Json(static_cast<int64_t>(change.line));
+  payload["condition"] = Json(change.condition);
+  payload["client"] = Json(static_cast<int64_t>(change.client));
+  return payload;
+}
+
+DebugSession::DebugSession(std::unique_ptr<rpc::Channel> channel,
+                           rpc::EventWriter& writer)
+    : Connection(writer, channel->native_handle(),
+                 [raw = channel.get()] { raw->close(); }),
+      channel_(std::move(channel)) {}
+
+bool DebugSession::send(const std::string& text) {
+  return enqueue(rpc::make_text_frame(text), /*force=*/true);
+}
+
+bool DebugSession::send_event(const std::string& text) {
+  return enqueue(rpc::make_text_frame(text), /*force=*/false);
 }
 
 bool DebugSession::deliver(const ServiceEvent& event) {
@@ -71,21 +91,8 @@ bool DebugSession::deliver(const ServiceEvent& event) {
                                          std::move(body)),
             /*force=*/false);
       }
-      Json payload = Json::object();
-      payload["subscription"] =
-          Json(static_cast<int64_t>(event.value_change.subscription));
-      payload["time"] = Json(static_cast<int64_t>(event.value_change.time));
-      Json changes = Json::array();
-      for (const auto& change : event.value_change.changes) {
-        Json entry = Json::object();
-        entry["signal"] = Json(change.signal);
-        entry["value"] = Json(change.value);
-        entry["width"] = Json(static_cast<int64_t>(change.width));
-        changes.push_back(std::move(entry));
-      }
-      payload["changes"] = std::move(changes);
-      return send_event(
-          rpc::serialize_event_v2(rpc::EventV2{"values", std::move(payload)}));
+      return send_event(rpc::serialize_event_v2(
+          rpc::EventV2{"values", value_change_payload(event.value_change)}));
     }
     case ServiceEvent::Kind::Lifecycle:
       if (binary) {
@@ -105,16 +112,9 @@ bool DebugSession::deliver(const ServiceEvent& event) {
                                              std::move(body)),
                        /*force=*/false);
       }
-      Json payload = Json::object();
-      payload["action"] = Json(event.breakpoint_change.action);
-      payload["filename"] = Json(event.breakpoint_change.filename);
-      payload["line"] =
-          Json(static_cast<int64_t>(event.breakpoint_change.line));
-      payload["condition"] = Json(event.breakpoint_change.condition);
-      payload["client"] =
-          Json(static_cast<int64_t>(event.breakpoint_change.client));
       return send_event(rpc::serialize_event_v2(
-          rpc::EventV2{"breakpoint-changed", std::move(payload)}));
+          rpc::EventV2{"breakpoint-changed",
+                       breakpoint_change_payload(event.breakpoint_change)}));
     }
   }
   return true;

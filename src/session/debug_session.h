@@ -3,68 +3,52 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 
+#include "common/json.h"
 #include "rpc/channel.h"
 #include "rpc/event_writer.h"
 #include "session/debug_service.h"
 
 namespace hgdb::session {
 
-/// One attached native-protocol client: its transport endpoint and event
-/// encoding. Created and driven by SessionManager, which runs one reader
-/// thread per session; send() is safe from any thread (responses from the
-/// session thread, pushed events from the simulation thread). All
-/// outbound traffic goes through the EventWriter target the manager
-/// registered for the channel's socket.
+/// One attached client of either protocol front end: the lifecycle half
+/// that SessionManager's single registration, cleanup and shutdown path
+/// drives — the DebugService client id, the EventWriter target for the
+/// connection's socket, and the liveness flags. A front end derives from
+/// it, owns its transport, runs its reader loop and renders pushed events
+/// in deliver().
 ///
 /// All debugging state — breakpoint/watch ownership, engagement,
-/// subscriptions — lives in the DebugService client registry; the session
-/// is purely the transport + wire-format half, and receives pushed events
-/// as the client's EventSink (rendering them as v2 JSON events, or
-/// enqueuing binary frames once the client opted in).
-class DebugSession final : public EventSink {
+/// subscriptions — lives in the DebugService client registry. All
+/// outbound traffic goes through the writer target, so the reader and
+/// simulation threads never write the socket directly.
+class Connection : public EventSink {
  public:
-  /// `writer_target` is `writer`'s target for `channel`'s socket; the
-  /// caller removes it before the session is destroyed.
-  DebugSession(ClientId id, std::unique_ptr<rpc::Channel> channel,
-               rpc::EventWriter& writer, uint64_t writer_target);
-
-  DebugSession(const DebugSession&) = delete;
-  DebugSession& operator=(const DebugSession&) = delete;
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
 
   [[nodiscard]] ClientId id() const { return id_; }
-
   /// Set when the service rejected the client (session limit): the first
-  /// request is answered with the stored error, then the session closes.
+  /// request is answered with the typed error, then the connection closes.
   [[nodiscard]] bool rejected() const { return rejected_; }
-  void mark_rejected() { rejected_ = true; }
+  [[nodiscard]] uint64_t writer_target() const { return writer_target_; }
+  /// The socket the writer target flushes to.
+  [[nodiscard]] int fd() const { return fd_; }
 
-  // -- transport ---------------------------------------------------------------
-  /// Thread-safe send for responses; returns false (and marks the session
-  /// dead) once the peer is gone. Enqueues with force=true (responses are
-  /// request-paced, they must not vanish mid-handshake) — a second direct
-  /// writer on the same fd would interleave with event frames and corrupt
-  /// the framing.
-  bool send(const std::string& text);
-  /// Thread-safe send for pushed events: same routing as send() but
-  /// subject to the bounded-queue slow-client policy (force=false), so a
-  /// stalled JSON subscriber sheds events instead of blocking the
-  /// delivery thread.
-  bool send_event(const std::string& text);
-  /// Blocking receive on the session's reader thread.
-  std::optional<std::string> receive() { return channel_->receive(); }
-  void close() { channel_->close(); }
+  /// Closes the transport; a blocked reader wakes. Safe from any thread.
+  void close() { close_(); }
 
   [[nodiscard]] bool alive() const {
     return alive_.load(std::memory_order_acquire);
   }
   void mark_dead() { alive_.store(false, std::memory_order_release); }
 
-  /// Set by the `disconnect` handler: the reader loop exits after the
-  /// response is flushed.
+  /// Set by a `disconnect` request (or a limit rejection): the reader loop
+  /// exits after the response is queued.
   std::atomic<bool> close_requested{false};
 
   /// The reader thread sets this as its final statement: past this point
@@ -73,6 +57,62 @@ class DebugSession final : public EventSink {
   [[nodiscard]] bool reapable() const {
     return reapable_.load(std::memory_order_acquire);
   }
+
+ protected:
+  /// `fd` is the transport's socket; `close` closes that transport.
+  Connection(rpc::EventWriter& writer, int fd, std::function<void()> close)
+      : writer_(writer), fd_(fd), close_(std::move(close)) {}
+
+  /// Queues a frame on the writer; Dead marks the connection dead. Dropped
+  /// returns true — the client stays attached, the event was sacrificed by
+  /// the slow-client policy (and counted in rpc.writer.events_dropped).
+  /// `force` (responses) bypasses the event-queue bound: request-paced
+  /// answers must not vanish mid-handshake.
+  bool enqueue(rpc::OutboundFrame frame, bool force);
+
+ private:
+  friend class SessionManager;  // fills in the registration fields
+
+  rpc::EventWriter& writer_;
+  const int fd_;
+  const std::function<void()> close_;
+  ClientId id_ = 0;
+  bool rejected_ = false;
+  uint64_t writer_target_ = 0;
+  std::atomic<bool> alive_{true};
+  std::atomic<bool> reapable_{false};
+};
+
+/// The body of a pushed value-change event (`values` on the native wire,
+/// `hgdbValues` over DAP).
+common::Json value_change_payload(const ServiceEvent::ValueChange& change);
+/// The body of a pushed breakpoint-change event (`breakpoint-changed` on
+/// the native wire, `hgdbBreakpointChanged` over DAP).
+common::Json breakpoint_change_payload(
+    const rpc::BreakpointChangeEvent& change);
+
+/// One attached native-protocol client: a message Channel carrying v2
+/// JSON requests, with pushed events rendered as v2 JSON events or, once
+/// the client opted in, as compact binary frames. SessionManager runs its
+/// reader loop; send() is safe from any thread (responses from the reader
+/// thread, pushed events from the simulation thread).
+class DebugSession final : public Connection {
+ public:
+  DebugSession(std::unique_ptr<rpc::Channel> channel,
+               rpc::EventWriter& writer);
+
+  // -- transport ---------------------------------------------------------------
+  /// Thread-safe send for responses; returns false (and marks the session
+  /// dead) once the peer is gone. Enqueues with force=true — a second
+  /// direct writer on the same fd would interleave with event frames and
+  /// corrupt the framing.
+  bool send(const std::string& text);
+  /// Thread-safe send for pushed events: subject to the bounded-queue
+  /// slow-client policy (force=false), so a stalled JSON subscriber sheds
+  /// events instead of blocking the delivery thread.
+  bool send_event(const std::string& text);
+  /// Blocking receive on the session's reader thread.
+  std::optional<std::string> receive() { return channel_->receive(); }
 
   // -- binary events -----------------------------------------------------------
   /// Switches pushed events to the compact binary frame encoding (the
@@ -84,7 +124,6 @@ class DebugSession final : public EventSink {
   [[nodiscard]] bool binary_events() const {
     return binary_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] uint64_t writer_target() const { return writer_target_; }
 
   // -- EventSink ---------------------------------------------------------------
   /// Renders a pushed service event in this session's event encoding and
@@ -93,19 +132,8 @@ class DebugSession final : public EventSink {
   bool deliver(const ServiceEvent& event) override;
 
  private:
-  /// Queues a frame on the writer; Dead marks the session dead. Dropped
-  /// returns true — the client stays attached, the event was sacrificed
-  /// by the slow-client policy (and counted).
-  bool enqueue(rpc::OutboundFrame frame, bool force);
-
-  const ClientId id_;
   std::unique_ptr<rpc::Channel> channel_;
-  std::atomic<bool> alive_{true};
-  std::atomic<bool> reapable_{false};
   std::atomic<bool> binary_{false};
-  bool rejected_ = false;
-  rpc::EventWriter& writer_;
-  const uint64_t writer_target_;
 };
 
 }  // namespace hgdb::session

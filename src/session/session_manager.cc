@@ -5,7 +5,7 @@
 #include "obs/trace.h"
 #include "rpc/tcp.h"
 #include "runtime/runtime.h"
-#include "session/dap_server.h"
+#include "session/dap_session.h"
 
 namespace hgdb::session {
 
@@ -93,91 +93,134 @@ SessionManager::SessionManager(runtime::Runtime& runtime)
   writer_options.metrics = &runtime.metrics();
   event_writer_ = std::make_unique<rpc::EventWriter>(writer_options);
   native_bytes_sent_ = &runtime.metrics().counter("session.native.bytes_sent");
+  dap_bytes_sent_ = &runtime.metrics().counter("session.dap.bytes_sent");
   register_builtins();
 }
 
 SessionManager::~SessionManager() { shutdown(); }
 
 // ---------------------------------------------------------------------------
-// clients
+// connection lifecycle (both front ends)
 // ---------------------------------------------------------------------------
 
 uint64_t SessionManager::add_client(std::unique_ptr<rpc::Channel> channel) {
-  if (shutting_down_.load()) {
-    channel->close();
-    return 0;
-  }
-  // Every outbound byte goes through the writer, so register the socket
-  // before the service can count or deliver to the client; add_target
-  // throws std::invalid_argument for a channel without one. on_dead stays
-  // service-free: closing the channel wakes the blocked reader thread,
-  // which runs cleanup_session on its own stack.
-  rpc::EventWriter::Target target;
-  target.fd = channel->native_handle();
-  rpc::Channel* raw = channel.get();
-  target.on_dead = [raw] { raw->close(); };
-  target.bytes_sent = native_bytes_sent_;
-  const uint64_t writer_target = event_writer_->add_target(std::move(target));
-  // Register with the typed core next: the session limit is enforced
-  // there, across native and DAP clients alike. A rejected client still
-  // gets a session whose first request is answered with the typed
-  // too-many-sessions error before the transport closes.
-  ClientId id = 0;
-  bool rejected = false;
-  try {
-    id = service_->register_client("client", nullptr);
-  } catch (const ServiceError&) {
-    rejected = true;
-  }
-  common::LockGuard lock(sessions_mutex_);
-  // Reap sessions whose reader thread has fully finished (reapable() is
-  // the thread's final statement, so this join cannot block on our locks).
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->session->reapable()) {
-      if (it->thread.joinable()) it->thread.join();
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  entries_.push_back(Entry{std::make_unique<DebugSession>(
-                               id, std::move(channel), *event_writer_,
-                               writer_target),
-                           std::thread{}});
-  DebugSession* session = entries_.back().session.get();
-  if (rejected) {
-    session->mark_rejected();
-  } else {
-    service_->set_client_sink(id, session);
-  }
-  entries_.back().thread = std::thread([this, session] { session_loop(session); });
-  return id;
+  auto session = std::make_unique<DebugSession>(std::move(channel),
+                                                *event_writer_);
+  DebugSession* raw = session.get();
+  return attach(std::move(session), "client", native_bytes_sent_,
+                [this, raw] { session_loop(*raw); });
 }
 
 uint16_t SessionManager::listen_tcp(uint16_t port) {
-  common::LockGuard lock(sessions_mutex_);
-  if (tcp_server_) return tcp_server_->port();
-  tcp_server_ = std::make_unique<rpc::TcpServer>(port);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  return tcp_server_->port();
+  return listen(native_listener_, port, [this](rpc::TcpServer& server) {
+    auto channel = server.accept();
+    if (!channel) return false;
+    add_client(std::move(channel));
+    return true;
+  });
 }
 
 uint16_t SessionManager::listen_dap(uint16_t port) {
-  common::LockGuard lock(sessions_mutex_);
-  if (!dap_server_) {
-    dap_server_ = std::make_unique<DapServer>(*service_, *event_writer_);
-  }
-  return dap_server_->listen(port);
+  return listen(dap_listener_, port, [this](rpc::TcpServer& server) {
+    auto stream = server.accept_stream();
+    if (!stream) return false;
+    auto session = std::make_unique<DapSession>(std::move(stream), *service_,
+                                                *event_writer_);
+    DapSession* raw = session.get();
+    attach(std::move(session), "dap", dap_bytes_sent_,
+           [raw] { raw->serve(); });
+    return true;
+  });
 }
 
-void SessionManager::accept_loop() {
-  // tcp_server_ stays valid for the thread's lifetime: shutdown() joins
-  // this thread before resetting it.
-  while (!shutting_down_.load()) {
-    auto channel = tcp_server_->accept();
-    if (!channel) break;
-    add_client(std::move(channel));
+uint16_t SessionManager::listen(
+    Listener& listener, uint16_t port,
+    std::function<bool(rpc::TcpServer&)> accept_one) {
+  common::LockGuard lock(sessions_mutex_);
+  if (listener.server) return listener.server->port();
+  listener.server = std::make_unique<rpc::TcpServer>(port);
+  // The accept loop of both front ends. It uses the server unlocked:
+  // shutdown() joins this thread before resetting the server.
+  listener.thread = std::thread([this, server = listener.server.get(),
+                                 accept_one = std::move(accept_one)] {
+    while (!shutting_down_.load() && accept_one(*server)) {
+    }
+  });
+  return listener.server->port();
+}
+
+uint64_t SessionManager::attach(std::unique_ptr<Connection> connection,
+                                const char* name, obs::Counter* bytes_sent,
+                                std::function<void()> read_loop) {
+  // Every outbound byte goes through the writer, so register the socket
+  // before the service can count or deliver to the client; add_target
+  // throws std::invalid_argument for a transport without one. on_dead
+  // stays service-free: closing the transport wakes the blocked reader
+  // thread, which runs cleanup() on its own stack.
+  rpc::EventWriter::Target target;
+  target.fd = connection->fd();
+  Connection* raw = connection.get();
+  target.on_dead = [raw] { raw->close(); };
+  target.bytes_sent = bytes_sent;
+  raw->writer_target_ = event_writer_->add_target(std::move(target));
+  {
+    common::LockGuard lock(sessions_mutex_);
+    // Checked under the table lock: shutdown() sets the flag before it
+    // takes this lock to close every entry, so an entry pushed here is
+    // always closed and joined by it.
+    if (!shutting_down_.load()) {
+      // The service enforces the session limit across both protocols. A
+      // rejected client still gets a reader, which answers its first
+      // request with the typed too-many-sessions error and closes.
+      try {
+        raw->id_ = service_->register_client(name, raw);
+      } catch (const ServiceError&) {
+        raw->rejected_ = true;
+      }
+      // Reap connections whose reader thread has fully finished
+      // (reapable() is the thread's final statement, so this join cannot
+      // block on our locks).
+      for (auto it = entries_.begin(); it != entries_.end();) {
+        if (it->connection->reapable()) {
+          if (it->thread.joinable()) it->thread.join();
+          it = entries_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      entries_.push_back(Entry{std::move(connection), std::thread{}});
+      entries_.back().thread =
+          std::thread([this, raw, read_loop = std::move(read_loop)] {
+            read_loop();
+            cleanup(*raw);
+            raw->set_reapable();
+          });
+      return raw->id();
+    }
   }
+  // Shutdown began first: undo off-lock (remove_target waits for an
+  // in-flight on_dead).
+  event_writer_->remove_target(raw->writer_target());
+  raw->close();
+  return 0;
+}
+
+void SessionManager::cleanup(Connection& connection) {
+  // The final response (disconnect ack, limit rejection) may still sit in
+  // the writer queue; give it a bounded chance to flush before the close
+  // tears the transport down.
+  event_writer_->drain(connection.writer_target(),
+                       std::chrono::milliseconds(1000));
+  connection.mark_dead();
+  connection.close();
+  // Unhook the writer target before the service forgets the client: once
+  // remove_target returns, the writer holds no reference to this
+  // connection's fd or callbacks, so the Entry can be reaped safely.
+  // Abrupt disconnects (mid-request included) release everything the
+  // client owned and resign it from a pending stop, so a vanished client
+  // can never hang the scheduler.
+  event_writer_->remove_target(connection.writer_target());
+  if (!connection.rejected()) service_->unregister_client(connection.id());
 }
 
 void SessionManager::shutdown() {
@@ -189,18 +232,21 @@ void SessionManager::shutdown() {
   // Wake a deliver_stop() waiting for a command: it sees the shutdown and
   // releases the simulation with Continue.
   service_->begin_shutdown();
-  std::unique_ptr<DapServer> dap;
+  Listener* listeners[] = {&native_listener_, &dap_listener_};
   {
     common::LockGuard lock(sessions_mutex_);
-    if (tcp_server_) tcp_server_->close();
-    for (auto& entry : entries_) entry.session->close();
-    dap = std::move(dap_server_);
+    for (Listener* listener : listeners) {
+      if (listener->server) listener->server->close();
+    }
+    for (auto& entry : entries_) entry.connection->close();
   }
-  if (dap) dap->shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // Entry addresses are stable (unique_ptr) and the vector cannot grow
-  // (add_client rejects while shutting_down_), so join index-wise without
-  // holding sessions_mutex_ — the exiting threads need it for cleanup.
+  for (Listener* listener : listeners) {
+    if (listener->thread.joinable()) listener->thread.join();
+  }
+  // Entry addresses are stable (unique_ptr) and the vector cannot change
+  // (attach() neither pushes nor reaps once shutting_down_ is set), so
+  // join index-wise without holding sessions_mutex_ — the exiting threads
+  // need it for cleanup.
   size_t count = 0;
   {
     common::LockGuard lock(sessions_mutex_);
@@ -217,7 +263,7 @@ void SessionManager::shutdown() {
   {
     common::LockGuard lock(sessions_mutex_);
     entries_.clear();
-    tcp_server_.reset();
+    for (Listener* listener : listeners) listener->server.reset();
   }
   // Waits for the sim thread to actually leave the stop handshake, then
   // clears the shared state and re-arms the service for reuse.
@@ -229,39 +275,22 @@ size_t SessionManager::session_count() const {
   common::LockGuard lock(sessions_mutex_);
   size_t alive = 0;
   for (const auto& entry : entries_) {
-    if (entry.session->alive()) ++alive;
+    if (entry.connection->alive()) ++alive;
   }
   return alive;
 }
 
 // ---------------------------------------------------------------------------
-// per-session service loop
+// native front end: reader loop
 // ---------------------------------------------------------------------------
 
-void SessionManager::session_loop(DebugSession* session) {
+void SessionManager::session_loop(DebugSession& session) {
   while (!shutting_down_.load()) {
-    auto message = session->receive();
+    auto message = session.receive();
     if (!message) break;  // peer closed
-    dispatch(*session, *message);
-    if (session->close_requested.load()) break;
+    dispatch(session, *message);
+    if (session.close_requested.load()) break;
   }
-  cleanup_session(*session);
-  session->set_reapable();
-}
-
-void SessionManager::cleanup_session(DebugSession& session) {
-  // The session's final response (disconnect ack, limit rejection) may
-  // still sit in the writer queue; give it a bounded chance to flush
-  // before the close tears the transport down.
-  event_writer_->drain(session.writer_target(),
-                       std::chrono::milliseconds(1000));
-  session.mark_dead();
-  session.close();
-  // Unhook the writer target before the service forgets the client: once
-  // remove_target returns, the writer holds no reference to this session's
-  // fd or callbacks, so the Entry can be reaped safely.
-  event_writer_->remove_target(session.writer_target());
-  if (!session.rejected()) service_->unregister_client(session.id());
 }
 
 void SessionManager::enable_binary_events(DebugSession& session) {

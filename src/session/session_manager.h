@@ -28,8 +28,6 @@ class Runtime;
 
 namespace hgdb::session {
 
-class DapServer;
-
 /// The protocol front-end host between debugger transports and the
 /// wire-format-free DebugService core (the "RPC-based debugging protocol"
 /// of the paper's Sec. 3.5, grown into protocol v2 + DAP).
@@ -37,15 +35,17 @@ class DapServer;
 /// The manager owns:
 ///  - the DebugService — typed requests, push event sinks, per-client
 ///    ownership, the stop handshake (see debug_service.h);
-///  - the *native* front end: N concurrent DebugSessions over any
-///    rpc::Channel plus a TCP accept loop (listen_tcp), dispatching v2
-///    JSON envelopes through a *command registry* whose handlers decode
-///    payloads and call the typed core — adding a request family means
-///    registering a handler, not editing the runtime core. A message
-///    that is not a v2 envelope gets a typed malformed-request error;
-///  - the *DAP* front end (listen_dap): VSCode attaches over Content-
-///    Length framing, sharing the same core — breakpoint refcounts, stop
-///    routing, and the session limit span both protocols.
+///  - one connection table for both front ends, with one accept loop per
+///    listener, one registration path (writer target, service client,
+///    typed session-limit rejection), one cleanup path and one shutdown
+///    join. Breakpoint refcounts, stop routing, and the session limit span
+///    both protocols; only the reader loop and the event rendering differ:
+///    - *native* (add_client, listen_tcp): a DebugSession per rpc::Channel,
+///      dispatching v2 JSON envelopes through a *command registry* whose
+///      handlers decode payloads and call the typed core. A message that
+///      is not a v2 envelope gets a typed malformed-request error;
+///    - *DAP* (listen_dap): a DapSession per VSCode connection, over
+///      Content-Length framing.
 class SessionManager {
  public:
   using Command = rpc::Command;
@@ -70,11 +70,12 @@ class SessionManager {
 
   // -- clients -----------------------------------------------------------------
   /// Attaches a native-protocol client and starts its reader thread;
-  /// returns the session id (0 when the client was rejected by the
-  /// session limit — it still receives a typed `too-many-sessions` answer
-  /// to its first request before the session closes). Every session,
-  /// JSON and binary alike, sends through the async EventWriter, so
-  /// pushed events always ride the bounded-queue slow-client policy.
+  /// returns the session id. It returns 0 when the session limit rejected
+  /// the client (its first request still gets a typed `too-many-sessions`
+  /// answer before the session closes) or when shutdown is in progress
+  /// (the channel is closed). Every session, JSON and binary alike, sends
+  /// through the async EventWriter, so pushed events always ride the
+  /// bounded-queue slow-client policy.
   /// Throws std::invalid_argument when the channel has no socket.
   uint64_t add_client(std::unique_ptr<rpc::Channel> channel);
   /// Binds loopback TCP (0 = ephemeral) and accepts native clients until
@@ -87,8 +88,8 @@ class SessionManager {
   /// threads. The manager is reusable afterwards.
   void shutdown();
 
-  /// Attached native-protocol sessions (DAP connections excluded; the
-  /// DebugService counts every client).
+  /// Attached connections of both front ends, native and DAP (a session
+  /// stops counting once its peer is gone).
   [[nodiscard]] size_t session_count() const;
 
   // -- protocol ----------------------------------------------------------------
@@ -97,10 +98,6 @@ class SessionManager {
   [[nodiscard]] rpc::Capabilities capabilities() const;
   /// Registered command names (the `connect` catalogue), sorted.
   [[nodiscard]] std::vector<std::string> command_names() const;
-  /// Registers or overrides a command handler (extension point; the
-  /// built-in catalogue is registered by the constructor).
-  void register_command(const std::string& name, Handler handler,
-                        Gate gate = Gate::None);
 
   // -- runtime hook ------------------------------------------------------------
   /// Called by the runtime's scheduler when a stop fires; forwards to
@@ -109,7 +106,12 @@ class SessionManager {
 
  private:
   struct Entry {
-    std::unique_ptr<DebugSession> session;
+    std::unique_ptr<Connection> connection;
+    std::thread thread;
+  };
+  /// One TCP listener and its accept thread.
+  struct Listener {
+    std::unique_ptr<rpc::TcpServer> server;
     std::thread thread;
   };
   struct CommandSpec {
@@ -121,14 +123,32 @@ class SessionManager {
   };
 
   void register_builtins();
-  void accept_loop();
-  void session_loop(DebugSession* session);
-  void dispatch(DebugSession& session, const std::string& text);
-  rpc::ResponseV2 execute(DebugSession& session, const rpc::RequestV2& request);
-  /// Post-disconnect cleanup: unregisters the client from the service
+  /// Adds one command to the catalogue (called by register_builtins).
+  void register_command(const std::string& name, Handler handler,
+                        Gate gate = Gate::None);
+
+  // -- connection lifecycle (both front ends) ----------------------------------
+  /// Binds `listener` (once) and starts its accept thread, which calls
+  /// `accept_one` until it reports the server closed or shutdown begins;
+  /// returns the bound port.
+  uint16_t listen(Listener& listener, uint16_t port,
+                  std::function<bool(rpc::TcpServer&)> accept_one);
+  /// Registers `connection` under `name`: its writer target, its service
+  /// client (a session-limit rejection marks it rejected), its table entry
+  /// and a reader thread running `read_loop`, then cleanup. Returns the
+  /// client id, or 0 when it was rejected or shutdown began.
+  uint64_t attach(std::unique_ptr<Connection> connection, const char* name,
+                  obs::Counter* bytes_sent, std::function<void()> read_loop);
+  /// After the reader loop: flushes the final response, closes the
+  /// transport, unhooks the writer target and unregisters the client
   /// (releasing owned breakpoints/watches/subscriptions and resigning it
   /// from a pending stop).
-  void cleanup_session(DebugSession& session);
+  void cleanup(Connection& connection);
+
+  // -- native front end --------------------------------------------------------
+  void session_loop(DebugSession& session);
+  void dispatch(DebugSession& session, const std::string& text);
+  rpc::ResponseV2 execute(DebugSession& session, const rpc::RequestV2& request);
   void handle_execution(DebugSession& session, const rpc::RequestV2& request,
                         rpc::ResponseV2& response, Command command);
   /// Flips the session + service to binary event frames (the `connect`
@@ -137,13 +157,14 @@ class SessionManager {
 
   runtime::Runtime* runtime_;
   std::unique_ptr<DebugService> service_;
-  /// Async event writer shared by every session. Declared before
-  /// entries_ so it outlives the sessions during destruction (targets are
-  /// removed in cleanup_session before a session dies).
+  /// Async event writer shared by every connection. Declared before
+  /// entries_ so it outlives the connections during destruction (targets
+  /// are removed in cleanup() before a connection dies).
   std::unique_ptr<rpc::EventWriter> event_writer_;
-  /// `session.native.bytes_sent`: bytes the writer flushed to native
-  /// clients.
+  /// `session.native.bytes_sent` / `session.dap.bytes_sent`: bytes the
+  /// writer flushed to each front end's clients.
   obs::Counter* native_bytes_sent_ = nullptr;
+  obs::Counter* dap_bytes_sent_ = nullptr;
 
   mutable common::SessionsMutex sessions_mutex_{"session::sessions"};
   std::vector<Entry> entries_ HGDB_GUARDED_BY(sessions_mutex_);
@@ -151,9 +172,10 @@ class SessionManager {
   std::map<std::string, CommandSpec> commands_;  // immutable after ctor
 
   std::atomic<bool> shutting_down_{false};
-  std::unique_ptr<rpc::TcpServer> tcp_server_;
-  std::thread accept_thread_;
-  std::unique_ptr<DapServer> dap_server_;
+  // Bound and reset under sessions_mutex_; each accept thread uses its
+  // server unlocked, since shutdown() joins the thread before the reset.
+  Listener native_listener_;
+  Listener dap_listener_;
 };
 
 }  // namespace hgdb::session

@@ -61,7 +61,7 @@ class GoodSender {
   int pending_ = 0;
   std::function<void()> deferred_;
   std::condition_variable_any ready_;
-  common::ConnectionsMutex queue_mutex_{"fixture_good::queue"};
+  common::CommandMutex queue_mutex_{"fixture_good::queue"};
   common::RpcMutex io_mutex_{"tcp::channel_send"};
 };
 

@@ -260,7 +260,7 @@ TEST(BitVector, WidthMismatchThrows) {
   BitVector a(8, 1);
   BitVector b(9, 1);
   EXPECT_THROW(a.add(b), std::invalid_argument);
-  EXPECT_THROW(a.ult(b), std::invalid_argument);
+  EXPECT_THROW((void)a.ult(b), std::invalid_argument);
   EXPECT_THROW(a.bit_and(b), std::invalid_argument);
 }
 

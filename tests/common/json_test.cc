@@ -27,8 +27,8 @@ TEST(Json, IntDoubleInterop) {
 }
 
 TEST(Json, TypeMismatchThrows) {
-  EXPECT_THROW(Json(42).as_string(), std::runtime_error);
-  EXPECT_THROW(Json("x").as_int(), std::runtime_error);
+  EXPECT_THROW((void)Json(42).as_string(), std::runtime_error);
+  EXPECT_THROW((void)Json("x").as_int(), std::runtime_error);
 }
 
 TEST(Json, ObjectAccess) {

@@ -237,7 +237,9 @@ TEST_F(ObservabilityTest, MinIntervalAdmitsEventsSpacedFarEnough) {
   bool first = true;
   while (auto event =
              client_throttled->wait_values(std::chrono::milliseconds(300))) {
-    if (!first) EXPECT_GE(event->time - last_time, 4u);
+    if (!first) {
+      EXPECT_GE(event->time - last_time, 4u);
+    }
     first = false;
     last_time = event->time;
     ++throttled;

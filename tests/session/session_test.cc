@@ -1,18 +1,22 @@
 #include "session/session_manager.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
+#include <atomic>
 #include <chrono>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "debugger/client.h"
 #include "frontend/compile.h"
 #include "ir/parser.h"
 #include "rpc/tcp.h"
 #include "runtime/runtime.h"
+#include "session/dap_protocol.h"
 #include "sim/simulator.h"
 #include "symbols/symbol_table.h"
 #include "vpi/native_backend.h"
@@ -516,6 +520,169 @@ TEST(SessionTransport, ChannelWithoutSocketIsRefusedBeforeRegistration) {
   ASSERT_TRUE(client.connect());
   EXPECT_EQ(runtime.session_manager()->service().client_count(), 1u);
   runtime.stop_service();
+}
+
+
+/// One live runtime with no client attached, for the host-level tests
+/// below.
+struct Fixture {
+  explicit Fixture(runtime::RuntimeOptions options = {}) {
+    frontend::CompileOptions compile_options;
+    compile_options.debug_mode = true;
+    auto compiled =
+        frontend::compile(ir::parse_circuit(kDesign), compile_options);
+    table = std::make_unique<symbols::MemorySymbolTable>(compiled.symbols);
+    simulator = std::make_unique<sim::Simulator>(compiled.netlist);
+    backend = std::make_unique<vpi::NativeBackend>(*simulator);
+    runtime = std::make_unique<runtime::Runtime>(*backend, *table, options);
+    runtime->attach();
+  }
+  ~Fixture() { runtime->stop_service(); }
+
+  std::unique_ptr<symbols::MemorySymbolTable> table;
+  std::unique_ptr<sim::Simulator> simulator;
+  std::unique_ptr<vpi::NativeBackend> backend;
+  std::unique_ptr<runtime::Runtime> runtime;
+};
+
+/// A minimal DAP client: one request at a time over Content-Length
+/// framing.
+class DapProbe {
+ public:
+  explicit DapProbe(uint16_t port)
+      : stream_(rpc::tcp_connect_stream("127.0.0.1", port)) {}
+
+  /// Sends `command` and returns its response, skipping events; null once
+  /// the connection closed first.
+  common::Json request(const std::string& command) {
+    common::Json message = common::Json::object();
+    message["seq"] = common::Json(next_seq_++);
+    message["type"] = common::Json("request");
+    message["command"] = common::Json(command);
+    EXPECT_TRUE(
+        stream_->send_bytes(dap::FrameCodec::encode(message.dump())));
+    while (auto payload = next_payload()) {
+      auto decoded = common::Json::parse(*payload);
+      if (decoded.get_string("type") == "response") return decoded;
+    }
+    return common::Json();
+  }
+
+  /// True once the server has closed the connection, waiting up to 5 s.
+  bool dropped() {
+    while (next_payload()) {
+    }
+    return closed_;
+  }
+
+ private:
+  std::optional<std::string> next_payload() {
+    while (true) {
+      if (auto payload = codec_.next()) return payload;
+      pollfd pfd{stream_->native_handle(), POLLIN, 0};
+      if (::poll(&pfd, 1, 5000) <= 0) return std::nullopt;  // timed out
+      auto chunk = stream_->receive_some();
+      if (!chunk) {
+        closed_ = true;
+        return std::nullopt;
+      }
+      codec_.feed(*chunk);
+    }
+  }
+
+  std::unique_ptr<rpc::ByteStream> stream_;
+  dap::FrameCodec codec_;
+  int64_t next_seq_ = 1;
+  bool closed_ = false;
+};
+
+TEST(SessionHost, ServeRacingStopServiceAlwaysJoinsTheSession) {
+  // A serve() that reaches the connection table while stop_service() is
+  // joining must either be refused or be closed and joined by that
+  // shutdown; an entry left behind with a running reader would abort the
+  // process when the table is cleared. The DAP listener is open too, so
+  // both listeners' accept threads are in the shutdown's join.
+  Fixture fixture;
+  auto& runtime = *fixture.runtime;
+  constexpr int kRounds = 200;
+  constexpr int kServers = 2;
+  constexpr int kClientsPerServer = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    runtime.serve_dap(0);
+    std::atomic<bool> go{false};
+    std::vector<std::unique_ptr<rpc::Channel>> clients[kServers];
+    std::vector<std::thread> servers;
+    for (int s = 0; s < kServers; ++s) {
+      servers.emplace_back([&, s] {
+        while (!go.load()) std::this_thread::yield();
+        for (int c = 0; c < kClientsPerServer; ++c) {
+          auto [client_side, server_side] = rpc::make_channel_pair();
+          clients[s].push_back(std::move(client_side));
+          runtime.serve(std::move(server_side));
+        }
+      });
+    }
+    go.store(true);
+    runtime.stop_service();
+    for (auto& server : servers) server.join();
+    // Sessions attached after that shutdown finished are live; the next
+    // shutdown must close and join them too.
+    runtime.stop_service();
+    ASSERT_EQ(runtime.session_manager()->session_count(), 0u);
+    ASSERT_EQ(runtime.session_manager()->service().client_count(), 0u);
+  }
+}
+
+TEST(SessionHost, SessionLimitSpansBothFrontEnds) {
+  runtime::RuntimeOptions options;
+  options.max_sessions = 2;
+  Fixture fixture(options);
+  auto& runtime = *fixture.runtime;
+  const uint16_t native_port = runtime.serve_tcp(0);
+  const uint16_t dap_port = runtime.serve_dap(0);
+
+  DebugClient native(rpc::tcp_connect("127.0.0.1", native_port));
+  ASSERT_TRUE(native.connect("native"));
+  DapProbe dap(dap_port);
+  ASSERT_TRUE(dap.request("initialize").get_bool("success"));
+  EXPECT_EQ(runtime.session_manager()->session_count(), 2u);
+
+  // A third DAP client: its first request fails with the typed reason,
+  // then the server drops the connection.
+  DapProbe dap_rejected(dap_port);
+  const auto response = dap_rejected.request("initialize");
+  ASSERT_TRUE(response.is_object());
+  EXPECT_FALSE(response.get_bool("success"));
+  EXPECT_EQ(response.get_string("message"), "too-many-sessions");
+  EXPECT_TRUE(dap_rejected.dropped());
+
+  // A third native client gets the typed error code.
+  DebugClient native_rejected(rpc::tcp_connect("127.0.0.1", native_port));
+  EXPECT_FALSE(native_rejected.connect("native-rejected"));
+  EXPECT_EQ(native_rejected.last_error_code(), ErrorCode::TooManySessions);
+
+  // The two admitted clients are still served.
+  EXPECT_TRUE(native.evaluate("cycle_reg", std::nullopt).has_value());
+  EXPECT_TRUE(dap.request("threads").get_bool("success"));
+}
+
+TEST(SessionHost, BothListenersServeAgainAfterStopService) {
+  Fixture fixture;
+  auto& runtime = *fixture.runtime;
+  runtime.serve_tcp(0);
+  runtime.serve_dap(0);
+  runtime.stop_service();
+
+  const uint16_t native_port = runtime.serve_tcp(0);
+  const uint16_t dap_port = runtime.serve_dap(0);
+  DebugClient native(rpc::tcp_connect("127.0.0.1", native_port));
+  ASSERT_TRUE(native.connect("native"));
+  EXPECT_TRUE(native.evaluate("cycle_reg", std::nullopt).has_value());
+  DapProbe dap(dap_port);
+  EXPECT_TRUE(dap.request("initialize").get_bool("success"));
+  EXPECT_TRUE(dap.request("threads").get_bool("success"));
+  // session_count() counts the connections of both front ends.
+  EXPECT_EQ(runtime.session_manager()->session_count(), 2u);
 }
 
 }  // namespace

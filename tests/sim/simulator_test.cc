@@ -208,7 +208,7 @@ TEST(Simulator, ForcingCombinationalSignalRejected) {
 TEST(Simulator, UnknownSignalThrows) {
   auto compiled = compile_text(kCounter);
   Simulator simulator(compiled.netlist);
-  EXPECT_THROW(simulator.value("Counter.ghost"), std::invalid_argument);
+  EXPECT_THROW((void)simulator.value("Counter.ghost"), std::invalid_argument);
   EXPECT_THROW(simulator.set_value("Counter.ghost", 1), std::invalid_argument);
 }
 

@@ -113,7 +113,9 @@ TEST_F(IndexedWaveformTest, DirectoryIsTimeSortedWithBoundedBlocks) {
       EXPECT_GT(blocks[b].count, 0u);
       // >= rather than >: same-timestamp glitches may straddle a block
       // boundary, and the writer keeps them verbatim for backend parity.
-      if (b > 0) EXPECT_GE(blocks[b].start_time, previous_end);
+      if (b > 0) {
+        EXPECT_GE(blocks[b].start_time, previous_end);
+      }
       previous_end = blocks[b].end_time;
       total += blocks[b].count;
     }
