@@ -3,7 +3,9 @@
 //      keeps Fig. 5's overhead under 5%), and
 //  (b) evaluates a batch of same-line breakpoints one after another on the
 //      simulation thread; the batch-size sweep shows how that cost grows
-//      with the number of concurrent instances ("threads") on one line.
+//      with the number of concurrent instances ("threads") on one line;
+//  (c) in continue mode visits only the lines with an inserted breakpoint,
+//      so one armed line costs the same however many lines the table has.
 //
 // Uses a synthetic simulator interface so only scheduler cost is measured.
 #include <benchmark/benchmark.h>
@@ -117,6 +119,30 @@ void BM_FullScanNoHits(benchmark::State& state) {
   for (auto _ : state) backend.edge();
 }
 BENCHMARK(BM_FullScanNoHits)->Arg(16)->Arg(128)->Arg(1024)->MinTime(0.05);
+
+/// Continue-mode scan with one inserted line out of N, never hitting: the
+/// scan visits only the armed batch, so the per-edge cost should not grow
+/// with N.
+void BM_SparseArmedScan(benchmark::State& state) {
+  const size_t lines = static_cast<size_t>(state.range(0));
+  StubBackend backend;
+  symbols::SymbolTableData data;
+  data.instances.push_back({1, "Top"});
+  for (size_t line = 1; line <= lines; ++line) {
+    data.breakpoints.push_back(symbols::BreakpointRow{
+        static_cast<int64_t>(line), 1, "gen.cc", static_cast<uint32_t>(line),
+        0, "sig0 > 70000", 0});  // never true: 16-bit values
+  }
+  symbols::MemorySymbolTable table(std::move(data));
+  runtime::Runtime runtime(backend, table);
+  runtime.attach();
+  runtime.add_breakpoint("gen.cc", static_cast<uint32_t>(lines / 2));
+  for (auto _ : state) backend.edge();
+  state.counters["batches_per_edge"] =
+      static_cast<double>(runtime.stats().batches_evaluated) /
+      static_cast<double>(runtime.stats().clock_edges);
+}
+BENCHMARK(BM_SparseArmedScan)->Arg(16)->Arg(128)->Arg(1024)->MinTime(0.05);
 
 }  // namespace
 

@@ -698,6 +698,15 @@ void Runtime::rebuild_plan_locked() {
     bp.dep_slots.erase(std::unique(bp.dep_slots.begin(), bp.dep_slots.end()),
                        bp.dep_slots.end());
   }
+  armed_batches_.clear();
+  for (size_t i = 0; i < batches_.size(); ++i) {
+    const auto& members = batches_[i].members;
+    if (std::any_of(members.begin(), members.end(), [&](size_t member) {
+          return breakpoints_[member].inserted;
+        })) {
+      armed_batches_.push_back(i);
+    }
+  }
   for (auto& wp : watchpoints_) {
     wp.compiled.reset();
     wp.dep_slots.clear();
@@ -887,75 +896,63 @@ void Runtime::on_clock_edge(vpi::ClockEdge edge, uint64_t time) {
   // one span brackets the whole dispatch when tracing is on.
   HGDB_TRACE_SPAN("runtime", "edge_dispatch");
 
-  if (pause_pending_.exchange(false)) {
-    common::LockGuard lock(state_mutex_);
-    mode_ = Mode::Step;
-  }
-
-  {
-    // A new edge invalidates the previous edge's fetched values; the first
-    // batch (or watchpoint sweep) that needs them re-fetches once.
-    common::LockGuard lock(state_mutex_);
-    edge_values_fresh_ = false;
-  }
-
-  // Subscribed value-change streams push before anything can stop the
-  // cycle (forward execution only, like watchpoints): the events ride the
-  // same batched fetch the condition pipeline is about to reuse.
-  {
-    const Mode current = mode_.load(std::memory_order_acquire);
-    if (current != Mode::ReverseStep && current != Mode::ReverseContinue &&
-        any_subs_.load(std::memory_order_acquire)) {
-      emit_subscription_events(time);
-    }
-  }
-
-  // Watchpoints fire before the batch scan (forward execution only: a
-  // reverse traversal re-visits old values and would re-trigger them).
-  {
-    const Mode current = mode_.load(std::memory_order_acquire);
-    if (current != Mode::ReverseStep && current != Mode::ReverseContinue &&
-        any_watch_.load(std::memory_order_acquire)) {
-      std::vector<rpc::WatchHit> watch_hits;
-      collect_watch_hits(watch_hits);
-      if (!watch_hits.empty()) {
-        StopEvent event;
-        event.time = time;
-        event.watch_hits = std::move(watch_hits);
-        stats_.stops->add(1);
-        const Command command = deliver_stop(std::move(event));
-        common::LockGuard lock(state_mutex_);
-        switch (command) {
-          case Command::Continue:
-            mode_ = Mode::Run;
-            break;
-          case Command::Pause:
-          case Command::StepOver:
-          case Command::StepBack:
-          case Command::ReverseContinue:
-            // Reverse from a watch stop degrades to a forward step (watch
-            // stops only exist on the forward path).
-            mode_ = Mode::Step;
-            break;
-          case Command::Jump:
-            // Handled by the session layer via set_time before resuming.
-            mode_ = Mode::Step;
-            return;
-          case Command::Detach:
-            mode_ = Mode::Run;
-            return;
-        }
-      }
-    }
-  }
-
+  // One acquisition for the edge's entry state: a pending pause becomes a
+  // step, the previous edge's fetched values go stale (the first batch or
+  // watchpoint sweep that needs them re-fetches once), and the
+  // reverse-entry flag is consumed.
   Mode mode;
   bool reverse_entry;
   {
     common::LockGuard lock(state_mutex_);
+    if (pause_pending_.exchange(false)) mode_ = Mode::Step;
+    edge_values_fresh_ = false;
     mode = mode_;
     reverse_entry = reverse_entry_;
     reverse_entry_ = false;
+  }
+  const bool forward =
+      mode != Mode::ReverseStep && mode != Mode::ReverseContinue;
+
+  // Subscribed value-change streams push before anything can stop the
+  // cycle (forward execution only, like watchpoints): the events ride the
+  // same batched fetch the condition pipeline is about to reuse.
+  if (forward && any_subs_.load(std::memory_order_acquire)) {
+    emit_subscription_events(time);
+  }
+
+  // Watchpoints fire before the batch scan (forward execution only: a
+  // reverse traversal re-visits old values and would re-trigger them).
+  if (forward && any_watch_.load(std::memory_order_acquire)) {
+    std::vector<rpc::WatchHit> watch_hits;
+    collect_watch_hits(watch_hits);
+    if (!watch_hits.empty()) {
+      StopEvent event;
+      event.time = time;
+      event.watch_hits = std::move(watch_hits);
+      stats_.stops->add(1);
+      const Command command = deliver_stop(std::move(event));
+      common::LockGuard lock(state_mutex_);
+      switch (command) {
+        case Command::Continue:
+          mode_ = mode = Mode::Run;
+          break;
+        case Command::Pause:
+        case Command::StepOver:
+        case Command::StepBack:
+        case Command::ReverseContinue:
+          // Reverse from a watch stop degrades to a forward step (watch
+          // stops only exist on the forward path).
+          mode_ = mode = Mode::Step;
+          break;
+        case Command::Jump:
+          // Handled by the session layer via set_time before resuming.
+          mode_ = Mode::Step;
+          return;
+        case Command::Detach:
+          mode_ = Mode::Run;
+          return;
+      }
+    }
   }
 
   // Run mode with no inserted breakpoints can only have been reached for
@@ -977,12 +974,18 @@ void Runtime::on_clock_edge(vpi::ClockEdge edge, uint64_t time) {
 
   int64_t index = reverse ? static_cast<int64_t>(batches_.size()) - 1 : 0;
   std::vector<size_t> hits;
-  while (index >= 0 && index < static_cast<int64_t>(batches_.size())) {
-    mode = mode_.load(std::memory_order_acquire);
-    const bool respect_inserted =
-        mode == Mode::Run || mode == Mode::ReverseContinue;
-    hits.clear();
-    evaluate_batch(batches_[static_cast<size_t>(index)], respect_inserted, hits);
+  bool respect_inserted = false;
+  while (true) {
+    {
+      common::LockGuard lock(state_mutex_);
+      mode = mode_;
+      respect_inserted = mode == Mode::Run || mode == Mode::ReverseContinue;
+      index = next_batch_locked(index, reverse, respect_inserted);
+      if (index < 0 || index >= static_cast<int64_t>(batches_.size())) break;
+      hits.clear();
+      evaluate_batch_locked(batches_[static_cast<size_t>(index)],
+                            respect_inserted, hits);
+    }
     if (hits.empty()) {
       index += reverse ? -1 : 1;
       continue;
@@ -1058,9 +1061,27 @@ bool Runtime::rewind_one_cycle(uint64_t time) {
   return interface_->set_time(time - 3);
 }
 
-void Runtime::evaluate_batch(const Batch& batch, bool respect_inserted,
-                             std::vector<size_t>& hits) {
-  common::LockGuard lock(state_mutex_);
+int64_t Runtime::next_batch_locked(int64_t index, bool reverse,
+                                   bool respect_inserted) const {
+  // Step modes need every location's enable; continue modes can only stop
+  // at an inserted breakpoint, so they jump to the nearest armed batch in
+  // the scan direction (same absolute order, fewer visits).
+  if (!respect_inserted || index < 0) return index;
+  const auto position = static_cast<size_t>(index);
+  if (reverse) {
+    const auto it = std::upper_bound(armed_batches_.begin(),
+                                     armed_batches_.end(), position);
+    return it == armed_batches_.begin() ? -1
+                                         : static_cast<int64_t>(*std::prev(it));
+  }
+  const auto it =
+      std::lower_bound(armed_batches_.begin(), armed_batches_.end(), position);
+  return it == armed_batches_.end() ? static_cast<int64_t>(batches_.size())
+                                    : static_cast<int64_t>(*it);
+}
+
+void Runtime::evaluate_batch_locked(const Batch& batch, bool respect_inserted,
+                                    std::vector<size_t>& hits) {
   HGDB_TRACE_SPAN_VAR(eval_span, "runtime", "evaluate_batch");
   eval_span.set_arg(batch.members.size());
   const auto t0 = std::chrono::steady_clock::now();
@@ -1252,9 +1273,9 @@ std::vector<Frame> Runtime::make_frames_locked(
     frame.filename = bp.row.filename;
     frame.line = bp.row.line_num;
     frame.column = bp.row.column_num;
-    // Which user conditions fired at this hit (set by evaluate_batch just
-    // before the stop): the session layer routes the stop to the sessions
-    // holding these arms.
+    // Which user conditions fired at this hit (set by evaluate_batch_locked
+    // just before the stop): the session layer routes the stop to the
+    // sessions holding these arms.
     if (!bp.conditions.empty()) frame.matched_conditions = bp.matched;
     frame.locals = render_plan(*bp.locals_frame);
     const FramePlan* generator = bp.generator_frame.get();

@@ -209,7 +209,9 @@ class Runtime {
   struct Stats {
     uint64_t clock_edges = 0;       ///< callbacks received
     uint64_t fast_path_exits = 0;   ///< edges with no work (Fig. 2 early exit)
-    uint64_t batches_evaluated = 0; ///< breakpoint batches condition-checked
+    /// Breakpoint batches condition-checked. The continue modes visit only
+    /// batches with an inserted member; step modes visit every batch.
+    uint64_t batches_evaluated = 0;
     /// Breakpoint members whose expressions actually ran (members skipped
     /// because they are not inserted, or reused from the dirty-set cache,
     /// do not count).
@@ -314,7 +316,7 @@ class Runtime {
     uint64_t eval_serial = 0;  ///< 0 = no cached result
     uint8_t cached = 0;        ///< kCacheHasEnable | kCacheEnableTrue
     /// Condition texts that matched at the last hit (scratch; written by
-    /// evaluate_batch, read by make_frames_locked).
+    /// evaluate_batch_locked, read by make_frames_locked).
     std::vector<std::string> matched;
 
     /// Stop-frame plans, resolved once: when the breakpoint is first
@@ -406,12 +408,18 @@ class Runtime {
   /// slots changed since its last report (rides the same batched fetch and
   /// change serials as the breakpoint pipeline).
   void emit_subscription_events(uint64_t time);
-  /// Scans batches in [start, end) in the given direction; returns true if
-  /// the scan stopped (and the next scan position via *resume).
-  bool scan_batches(uint64_t time, bool reverse, size_t start_index);
+  /// The batch a scan standing at `index` evaluates next. The step modes
+  /// (`respect_inserted` false) visit every batch, so that is `index`
+  /// itself; the continue modes visit only armed batches, so it is the
+  /// nearest one at or past `index` in the scan direction. -1 or
+  /// batches_.size() ends the scan.
+  [[nodiscard]] int64_t next_batch_locked(int64_t index, bool reverse,
+                                          bool respect_inserted) const
+      HGDB_REQUIRES(state_mutex_);
   /// Evaluates one batch; fills `hits` with member indexes that fired.
-  void evaluate_batch(const Batch& batch, bool respect_inserted,
-                      std::vector<size_t>& hits);
+  void evaluate_batch_locked(const Batch& batch, bool respect_inserted,
+                             std::vector<size_t>& hits)
+      HGDB_REQUIRES(state_mutex_);
   /// Per-batch evaluation counts, accumulated in member order.
   struct EvalCounts {
     uint64_t evaluated = 0;  ///< members whose conditions ran
@@ -475,8 +483,8 @@ class Runtime {
                                    bool persist_program = true)
       HGDB_REQUIRES(state_mutex_);
   /// Rebuilds the whole plan (all enables + inserted conditions +
-  /// watchpoints), resolves the inserted breakpoints' stop frames, and
-  /// resets the change-driven caches.
+  /// watchpoints), resolves the inserted breakpoints' stop frames, lists
+  /// the armed batches, and resets the change-driven caches.
   void rebuild_plan_locked() HGDB_REQUIRES(state_mutex_);
   /// Declares the armed read set (the plan plus the inserted breakpoints'
   /// frames) to the backend's retain_views().
@@ -554,6 +562,10 @@ class Runtime {
   /// The plan changed while armed: the next fetch re-declares the read
   /// set (retain_read_set_locked).
   bool read_set_stale_ HGDB_GUARDED_BY(state_mutex_) = false;
+  /// Ascending indexes into batches_ of every batch with an inserted
+  /// member (rebuilt by rebuild_plan_locked, which every change to
+  /// Breakpoint::inserted calls): the continue modes scan only these.
+  std::vector<size_t> armed_batches_ HGDB_GUARDED_BY(state_mutex_);
   /// Values already fetched for the current edge; cleared at edge entry.
   bool edge_values_fresh_ HGDB_GUARDED_BY(state_mutex_) = false;
   /// A stop was delivered or a mutator ran since the last fetch: the next

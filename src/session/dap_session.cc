@@ -1,7 +1,9 @@
 #include "session/dap_session.h"
 
+#include <array>
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "obs/trace.h"
@@ -16,6 +18,35 @@ namespace {
 /// 0 (unknown).
 int64_t dap_column(uint32_t column) { return column == 0 ? 1 : column; }
 
+/// Every command handle_request answers. Each is counted on its own
+/// `session.dap.command.<name>` counter; any other command string counts
+/// on `session.dap.command.unknown`, so client input cannot add registry
+/// names.
+constexpr std::array<std::string_view, 20> kCommands = {
+    "initialize",
+    "launch",
+    "attach",
+    "configurationDone",
+    "setBreakpoints",
+    "threads",
+    "stackTrace",
+    "scopes",
+    "variables",
+    "evaluate",
+    "continue",
+    "next",
+    "stepIn",
+    "stepOut",
+    "stepBack",
+    "reverseContinue",
+    "pause",
+    "setVariable",
+    "hgdbMetrics",
+    "disconnect",
+};
+
+constexpr std::string_view kUnknownCommand = "unknown";
+
 }  // namespace
 
 DapSession::DapSession(std::unique_ptr<rpc::ByteStream> stream,
@@ -23,7 +54,16 @@ DapSession::DapSession(std::unique_ptr<rpc::ByteStream> stream,
     : Connection(writer, stream->native_handle(),
                  [raw = stream.get()] { raw->close(); }),
       stream_(std::move(stream)),
-      service_(service) {}
+      service_(service) {
+  auto counter = [&](std::string_view name) {
+    return &service_.metrics().counter("session.dap.command." +
+                                       std::string(name));
+  };
+  for (const std::string_view name : kCommands) {
+    command_counts_.emplace(name, counter(name));
+  }
+  unknown_command_count_ = counter(kUnknownCommand);
+}
 
 // ---------------------------------------------------------------------------
 // sending
@@ -399,15 +439,22 @@ void DapSession::serve() {
                              "too-many-sessions");
       } else {
         service_.count_request();
-        service_.metrics()
-            .counter("session.dap.command." + request.command)
-            .add(1);
+        // Counted and traced under a catalogued name, never the raw client
+        // text. The names are static NUL-terminated literals, as TraceSpan
+        // needs.
+        std::string_view command = kUnknownCommand;
+        if (const auto it = command_counts_.find(request.command);
+            it != command_counts_.end()) {
+          command = it->first;
+          it->second->add(1);
+        } else {
+          unknown_command_count_->add(1);
+        }
 #if HGDB_OBS_SPANS_ENABLED
-        auto& trace_recorder = obs::TraceRecorder::global();
-        obs::TraceSpan dispatch_span(
-            trace_recorder, "dap",
-            trace_recorder.enabled() ? trace_recorder.intern(request.command)
-                                     : "dispatch");
+        obs::TraceSpan dispatch_span(obs::TraceRecorder::global(), "dap",
+                                     command.data());
+#else
+        (void)command;
 #endif
         try {
           Json body = handle_request(request, events);

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -74,6 +75,10 @@ class DapSession final : public Connection {
 
   std::unique_ptr<rpc::ByteStream> stream_;
   DebugService& service_;
+  /// Request counters of the known commands, keyed on their static names
+  /// and resolved at construction; unknown commands share one counter.
+  std::map<std::string_view, obs::Counter*, std::less<>> command_counts_;
+  obs::Counter* unknown_command_count_ = nullptr;
 
   // Sending: responses from the reader thread, events from the simulation
   // thread. One mutex serializes seq allocation + enqueue, because DAP

@@ -38,7 +38,7 @@ namespace hgdb::waveform {
 ///
 /// Thread-safe for concurrent queries (one mutex around the cache + read
 /// scratch), as WaveformSource promises; kept pending a TSan proof that
-/// only one thread at a time reads it (ROADMAP item 1(c)).
+/// only one thread at a time reads it (ROADMAP item 6, "Reader locking").
 class IndexedWaveform final : public WaveformSource {
  public:
   static constexpr size_t kDefaultCacheBlocks = waveform::kDefaultCacheBlocks;

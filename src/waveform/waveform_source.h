@@ -35,7 +35,8 @@ inline constexpr size_t kDefaultCacheBlocks = 64;
 /// Implementations must be safe for concurrent value_at() calls. The
 /// runtime reads a source from the simulation thread and serves session
 /// requests while the simulation is parked; the promise is kept pending a
-/// TSan proof that no other thread reads it (ROADMAP item 1(c)).
+/// TSan proof that no other thread reads it (ROADMAP item 6, "Reader
+/// locking").
 class WaveformSource {
  public:
   virtual ~WaveformSource() = default;

@@ -366,6 +366,26 @@ TEST_F(DapNativeTest, HgdbMetricsCustomRequestServesTheRegistry) {
   client.request("disconnect");
 }
 
+TEST_F(DapNativeTest, UnknownCommandsShareOneCounter) {
+  DapClient client(port_);
+  ASSERT_TRUE(client.request("initialize").get_bool("success"));
+  for (int i = 0; i < 5; ++i) {
+    Json response = client.request("bogus" + std::to_string(i));
+    EXPECT_FALSE(response.get_bool("success"));
+  }
+  ASSERT_TRUE(client.request("threads").get_bool("success"));
+
+  // Client-chosen command strings never become registry names: every
+  // unknown command lands on one counter.
+  const std::string registry = runtime_->metrics().snapshot_json().dump();
+  EXPECT_EQ(registry.find("bogus"), std::string::npos) << registry;
+  EXPECT_EQ(runtime_->metrics().counter("session.dap.command.unknown").value(),
+            5u);
+  EXPECT_EQ(runtime_->metrics().counter("session.dap.command.threads").value(),
+            1u);
+  client.request("disconnect");
+}
+
 TEST_F(DapNativeTest, SplitAndCoalescedFramesOverTcp) {
   DapClient client(port_);
 
